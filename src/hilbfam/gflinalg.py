@@ -3,11 +3,22 @@
 Everything here funnels through one object, :class:`RowReducer`, which
 maintains the reduced row echelon form of the rows fed to it so far.
 Because the RREF of a row space is unique, the two internal engines
-(word-parallel XOR on int-packed rows for p = 2, blocked integer
+(word-parallel XOR on int-packed rows for p = 2, panel-blocked
 elimination for odd p) are interchangeable: rank, pivot columns and the
 canonical kernel basis come out identical whichever one ran.  Rows can
 be supplied incrementally, so callers with very large matrices never
 need to materialize them.
+
+The odd-p engine follows the delayed-update scheme of Dumas, Giorgi and
+Pernet (FFLAS-FFPACK, ACM TOMS 2008).  A block of rows is reduced once
+against the basis, then eliminated in panels of ``_PANEL`` rows: each
+panel is reduced against the rows earlier panels of the block added,
+brought to RREF locally, and clears its new pivot columns from the basis
+with one :func:`matmul_mod` per ``_PANEL`` basis rows it touches, so the
+back-elimination never holds a temporary larger than ``_PANEL`` x cols.
+All products are exact in int64 (and in float64 BLAS where
+:func:`matmul_mod` can prove it) while ``max(cols, 1) * (p-1)^2 < 2^62``;
+:class:`RowReducer` refuses larger fields at construction.
 """
 
 from __future__ import annotations
@@ -19,8 +30,13 @@ import numpy as np
 from .setfam import is_prime
 
 # Products in a block reduction are sums of at most `rank` terms bounded
-# by (p-1)^2; float64 matmul is exact while they stay under 2^53.
+# by (p-1)^2; float64 matmul is exact while they stay under 2^53, int64
+# arithmetic while they stay under 2^62.
 _FLOAT_EXACT_LIMIT = 2**53
+_INT64_EXACT_LIMIT = 2**62
+
+# Rows per panel of the odd-p engine.
+_PANEL = 64
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -33,11 +49,13 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     bound = a.shape[1] * (p - 1) ** 2
     if bound < _FLOAT_EXACT_LIMIT:
-        prod = a.astype(np.float64) @ b.astype(np.float64)
-        return prod.astype(np.int64) % p
-    if bound >= 2**62:
+        prod = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    elif bound < _INT64_EXACT_LIMIT:
+        prod = a @ b
+    else:
         raise ValueError(f"modulus {p} too large for exact matmul at this size")
-    return (a @ b) % p
+    prod %= p
+    return prod
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,6 +152,11 @@ class RowReducer:
             raise ValueError(f"modulus must be prime, got {p}")
         if cols < 0:
             raise ValueError(f"cols must be nonnegative, got {cols}")
+        if max(cols, 1) * (p - 1) ** 2 >= _INT64_EXACT_LIMIT:
+            raise ValueError(
+                f"modulus {p} too large for exact elimination over {cols} columns: "
+                "need max(cols, 1) * (p-1)^2 < 2^62"
+            )
         self.p = p
         self.cols = cols
         self._bitpack = p == 2 and not force_generic
@@ -214,49 +237,73 @@ class RowReducer:
 
     # -- generic engine ----------------------------------------------------
 
-    def _reduce_against(self, block: np.ndarray, start: int, stop: int) -> np.ndarray:
-        if stop <= start:
-            return block
-        piv = np.asarray(self._pivots[start:stop])
-        coeffs = block[:, piv]
-        if not coeffs.any():
-            return block
-        return (block - matmul_mod(coeffs, self._basis[start:stop], self.p)) % self.p
+    def _reduce_against(self, block: np.ndarray, start: int, stop: int) -> None:
+        """Reduce `block` in place against basis rows start..stop."""
+        coeffs = block[:, self._pivots[start:stop]]
+        if coeffs.any():
+            block -= matmul_mod(coeffs, self._basis[start:stop], self.p)
+            block %= self.p
 
-    def _grow(self) -> None:
-        capacity = max(64, 2 * self._basis.shape[0])
-        capacity = min(capacity, self.cols) if self.cols else capacity
-        if capacity <= self._basis.shape[0]:
-            capacity = self._basis.shape[0] + 1
-        fresh = np.zeros((capacity, self.cols), dtype=np.int64)
-        fresh[: self._count] = self._basis[: self._count]
-        self._basis = fresh
-
-    def _insert_generic(self, row: np.ndarray) -> None:
-        j = int(np.nonzero(row)[0][0])
-        inv = pow(int(row[j]), -1, self.p)
-        row = (row * inv) % self.p
-        if self._count:
-            col = self._basis[: self._count, j]
-            hit = np.nonzero(col)[0]
+    def _eliminate_panel(self, panel: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """Gauss-Jordan a panel in place with leftmost pivots; return its
+        nonzero RREF rows and their pivot columns in the order found."""
+        p = self.p
+        found: list[int] = []
+        pivots: list[int] = []
+        for i in range(panel.shape[0]):
+            nz = np.flatnonzero(panel[i])
+            if not nz.size:
+                continue
+            # Row i is zero left of its pivot j, so only columns j.. change.
+            j = int(nz[0])
+            row = (panel[i, j:] * pow(int(panel[i, j]), -1, p)) % p
+            panel[i, j:] = row
+            col = panel[:, j].copy()
+            col[i] = 0
+            hit = np.flatnonzero(col)
             if hit.size:
-                self._basis[hit] = (self._basis[hit] - np.outer(col[hit], row)) % self.p
-        if self._count == self._basis.shape[0]:
-            self._grow()
-        self._basis[self._count] = row
-        self._pivots.append(j)
-        self._count += 1
+                panel[hit, j:] = (panel[hit, j:] - np.outer(col[hit], row)) % p
+            found.append(i)
+            pivots.append(j)
+        return panel[found], pivots
+
+    def _back_eliminate(self, rows: np.ndarray, pivots: list[int]) -> None:
+        # `rows` is zero at every basis pivot and the identity at `pivots`,
+        # so one product clears all of `pivots` from a basis row.  Each row
+        # is zero left of its own pivot, so only columns lo.. change.
+        basis = self._basis
+        lo = min(pivots)
+        rows = rows[:, lo:]
+        hit = np.flatnonzero(basis[: self._count, pivots].any(axis=1))
+        for start in range(0, hit.size, _PANEL):
+            idx = hit[start : start + _PANEL]
+            sub = basis[idx, lo:]
+            sub -= matmul_mod(basis[np.ix_(idx, pivots)], rows, self.p)
+            sub %= self.p
+            basis[idx, lo:] = sub
+
+    def _append(self, rows: np.ndarray, pivots: list[int]) -> None:
+        stop = self._count + len(pivots)
+        if stop > self._basis.shape[0]:
+            capacity = min(max(64, 2 * self._basis.shape[0], stop), self.cols)
+            fresh = np.zeros((capacity, self.cols), dtype=np.int64)
+            fresh[: self._count] = self._basis[: self._count]
+            self._basis = fresh
+        self._basis[self._count : stop] = rows
+        self._pivots.extend(pivots)
+        self._count = stop
 
     def _add_block_generic(self, block: np.ndarray) -> None:
-        block = self._reduce_against(block, 0, self._count)
+        self._reduce_against(block, 0, self._count)
         block_start = self._count
-        live = np.nonzero(block.any(axis=1))[0]
-        for i in live:
-            row = block[i]
-            if self._count > block_start:
-                row = self._reduce_against(row[None, :], block_start, self._count)[0]
-            if row.any():
-                self._insert_generic(row)
+        live = np.flatnonzero(block.any(axis=1))
+        for start in range(0, live.size, _PANEL):
+            panel = block[live[start : start + _PANEL]]
+            self._reduce_against(panel, block_start, self._count)
+            rows, pivots = self._eliminate_panel(panel)
+            if pivots:
+                self._back_eliminate(rows, pivots)
+                self._append(rows, pivots)
 
 
 def rref(matrix: FpMatrix) -> tuple[FpMatrix, tuple[int, ...]]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -32,8 +33,9 @@ def enumeration_cap() -> int:
     return DEFAULT_ENUMERATION_CAP
 
 
+@lru_cache(maxsize=256)
 def is_prime(p: int) -> bool:
-    """Deterministic trial-division primality check."""
+    """Deterministic trial-division primality check, memoised."""
     if p < 2:
         return False
     if p < 4:

@@ -52,6 +52,14 @@ class TestHilbertCommand:
         assert code == 2
         assert "error" in err
 
+    def test_modulus_beyond_exact_bound_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "hilbert", "--n", "4", "--d", "2", "--p", "4294967311", "--m", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "2^62" in err
+
 
 class TestSeriesCommand:
     def test_csv_rows(self, capsys):

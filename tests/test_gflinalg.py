@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hilbfam.gflinalg import (
+    _PANEL,
     FpMatrix,
     FpVector,
     RowReducer,
@@ -14,6 +15,8 @@ from hilbfam.gflinalg import (
     rank_mod_p,
     rref,
 )
+from hilbfam.hilbert import hilbert_value
+from hilbfam.setfam import binomial, make_uniform_family
 
 
 def oracle_rref(rows, p):
@@ -186,6 +189,70 @@ class TestEngineAgreement:
         assert whole.echelon_rows().tolist() == chunked.echelon_rows().tolist()
 
 
+def multi_panel_matrix(kind, p, seed, rows=3 * _PANEL + 20, cols=2 * _PANEL + 8):
+    """Seeded matrix whose rows span more than three elimination panels."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.integers(0, p, (rows, cols))
+    low = 2 * cols // 3
+    if kind == "low-rank":
+        return (rng.integers(0, p, (rows, low)) @ rng.integers(0, p, (low, cols))) % p
+    # Rows drawn with repetition from a small pool, scaled.
+    pool = rng.integers(0, p, (low, cols))
+    scale = rng.integers(1, p, (rows, 1))
+    return (pool[rng.integers(0, len(pool), rows)] * scale) % p
+
+
+def reduce_in_blocks(data, p, block):
+    red = RowReducer(p, data.shape[1])
+    for start in range(0, data.shape[0], block):
+        red.add_rows(data[start : start + block])
+    return red
+
+
+class TestMultiPanel:
+    """Inputs long enough that the odd-p engine crosses panel boundaries."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 101])
+    @pytest.mark.parametrize("kind", ["random", "low-rank", "repeated"])
+    def test_matches_oracle_in_one_call_and_in_blocks(self, kind, p):
+        data = multi_panel_matrix(kind, p, seed=p)
+        expected, expected_piv = oracle_rref(data.tolist(), p)
+        for block in (data.shape[0], 37):
+            red = reduce_in_blocks(data, p, block)
+            assert red.pivot_columns() == expected_piv
+            assert red.echelon_rows().tolist() == expected[: len(expected_piv)]
+            kernel = red.kernel_matrix()
+            assert kernel.shape == (data.shape[1] - red.rank, data.shape[1])
+            assert not ((data @ kernel.T) % p).any()
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 101])
+    @pytest.mark.parametrize("kind", ["low-rank", "repeated"])
+    def test_rank_matches_sympy(self, kind, p):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        # Narrow, since sympy's dense elimination is pure Python.
+        data = multi_panel_matrix(kind, p, seed=10 + p, cols=40)
+        expected = DomainMatrix.from_list(data.tolist(), sympy.GF(p)).rank()
+        assert reduce_in_blocks(data, p, 37).rank == expected
+        assert reduce_in_blocks(data, p, data.shape[0]).rank == expected
+
+    def test_int64_matmul_path_matches_oracle(self):
+        # (p-1)^2 > 2^51, so products past two terms leave the float64 range.
+        p = 67108859
+        data = multi_panel_matrix("random", p, seed=1, rows=150, cols=80)
+        expected, expected_piv = oracle_rref(data.tolist(), p)
+        red = reduce_in_blocks(data, p, 37)
+        assert red.pivot_columns() == expected_piv
+        assert red.echelon_rows().tolist() == expected[: len(expected_piv)]
+
+    def test_wilson_rank_beyond_brute_force(self):
+        # h(m) = C(n, m) for the uniform family when m <= min(d, n - d).
+        points = make_uniform_family(12, 6).points()
+        assert hilbert_value(points, 4, 5, 1) == binomial(12, 4) == 495
+
+
 class TestMatmulMod:
     @given(fp_matrices(max_rows=5, max_cols=5), st.integers(1, 4))
     def test_matches_integer_product(self, m, k):
@@ -207,6 +274,25 @@ class TestValidation:
 
     def test_vector_entries_reduced(self):
         assert FpVector(3, (4, -1)).values == (1, 2)
+
+    def test_modulus_beyond_exact_bound_refused(self):
+        # Before the bound this returned [1, 2863311315, 2863311314]; the
+        # true row is [1, 2863311540, 2863311539].
+        with pytest.raises(ValueError, match="2\\^62"):
+            RowReducer(4294967311, 3)
+        with pytest.raises(ValueError, match="2\\^62"):
+            RowReducer(2147483647, 3)
+
+    def test_large_modulus_within_bound_is_exact(self):
+        p = 2147483647
+        red = RowReducer(p, 1)
+        red.add_rows([[5]])
+        assert red.echelon_rows().tolist() == [[1]]
+        p = 1000000007
+        red = RowReducer(p, 3)
+        red.add_rows([[3, p - 2, p - 5]])
+        inv = pow(3, -1, p)
+        assert red.echelon_rows().tolist() == [[1, (p - 2) * inv % p, (p - 5) * inv % p]]
 
     def test_matrix_must_be_2d(self):
         with pytest.raises(ValueError):
