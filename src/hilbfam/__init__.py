@@ -16,11 +16,9 @@ from .balancing import (
     min_balancing_size,
     witness_poly,
 )
-from .gflinalg import FpMatrix, FpVector, RowReducer, kernel_basis, rank_mod_p, rref
+from .gflinalg import FpMatrix, FpVector, RowReducer, kernel_basis, rank_mod_p
 from .hilbert import (
-    EvaluationMatrix,
     HilbertReport,
-    evaluation_matrix,
     hilbert_series,
     hilbert_value,
     ideal_truncation_basis,
@@ -68,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BalancingInstance",
     "EnumerationCapError",
-    "EvaluationMatrix",
     "FAIL",
     "FpMatrix",
     "FpVector",
@@ -89,7 +86,6 @@ __all__ = [
     "char_vector",
     "check_lower_bound",
     "evaluate",
-    "evaluation_matrix",
     "expand_affine_product",
     "format_family",
     "hilbert_series",
@@ -106,7 +102,6 @@ __all__ = [
     "multilinear_reduce",
     "parse_family",
     "rank_mod_p",
-    "rref",
     "uniform_report",
     "verify_grid_remark",
     "verify_hlemma",

@@ -79,10 +79,6 @@ class FpMatrix:
     def from_rows(cls, rows, p: int) -> "FpMatrix":
         return cls(p, np.asarray(rows, dtype=np.int64))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int, p: int) -> "FpMatrix":
-        return cls(p, np.zeros((rows, cols), dtype=np.int64))
-
     @property
     def rows(self) -> int:
         return self.data.shape[0]
@@ -147,7 +143,7 @@ class RowReducer:
     order in which rows arrive, by uniqueness of the RREF.
     """
 
-    def __init__(self, p: int, cols: int, force_generic: bool = False):
+    def __init__(self, p: int, cols: int):
         if not is_prime(p):
             raise ValueError(f"modulus must be prime, got {p}")
         if cols < 0:
@@ -159,7 +155,7 @@ class RowReducer:
             )
         self.p = p
         self.cols = cols
-        self._bitpack = p == 2 and not force_generic
+        self._bitpack = p == 2
         # p = 2: map pivot column -> fully reduced packed row.
         self._bit_rows: dict[int, int] = {}
         # odd p: growing basis matrix plus parallel pivot-column list.
@@ -304,20 +300,6 @@ class RowReducer:
             if pivots:
                 self._back_eliminate(rows, pivots)
                 self._append(rows, pivots)
-
-
-def rref(matrix: FpMatrix) -> tuple[FpMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns.
-
-    The result has the same shape as the input: the nonzero RREF rows in
-    pivot-column order followed by zero rows.
-    """
-    red = RowReducer(matrix.p, matrix.cols)
-    red.add_rows(matrix.data)
-    body = red.echelon_rows()
-    out = np.zeros((matrix.rows, matrix.cols), dtype=np.int64)
-    out[: body.shape[0]] = body
-    return FpMatrix(matrix.p, out), red.pivot_columns()
 
 
 def rank_mod_p(matrix: FpMatrix) -> int:

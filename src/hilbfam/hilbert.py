@@ -4,8 +4,17 @@ The value h(m) is the rank of the evaluation matrix whose rows are
 points and whose columns are the reduced monomials of degree at most m
 (exponent cap 1 for 0/1 point sets, p-1 in general; both caps preserve
 values pointwise, so the reduced columns span the full degree-<= m
-function space).  Large instances are streamed through the incremental
-reducer block by block instead of materializing the matrix.
+function space).  Every question is one elimination, streamed through
+the incremental reducer in blocks of ``_BLOCK_ROWS`` rows so the matrix
+is never materialized:
+
+- a value or kernel feeds the point rows of the evaluation matrix;
+- a whole series feeds the transposed matrix, monomial rows over point
+  columns, one degree at a time.  Rank is invariant under transposition
+  and the monomials are ordered by degree, so h(m) is the rank reached
+  after the degree-m rows;
+- for nested point sets F in G, the rows of G outside F go into F's
+  reducer after F's kernel is taken, and the final rank is h(G).
 """
 
 from __future__ import annotations
@@ -15,23 +24,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .gflinalg import FpMatrix, RowReducer
+from .gflinalg import RowReducer
 from .poly import Monomial, Point, Polynomial, monomials_upto
 from .setfam import Params, binomial, is_power_of, is_prime
 
-# Above this many matrix entries, ranks are computed from streamed row
-# blocks rather than one dense array.
-_STREAM_THRESHOLD = 4_000_000
 _BLOCK_ROWS = 2048
-
-
-@dataclass(frozen=True, eq=False)
-class EvaluationMatrix:
-    """Monomial evaluation matrix: entry (i, j) = monomial_j(point_i)."""
-
-    matrix: FpMatrix
-    points: tuple[Point, ...]
-    monomials: tuple[Monomial, ...]
 
 
 def _points_array(points: Sequence[Point], p: int) -> np.ndarray:
@@ -65,25 +62,24 @@ def _eval_rows(arr: np.ndarray, monomials: Sequence[Monomial], p: int, cap: int)
             mm = int(sum(w for w, e in zip(weights, mono) if e))
             out[:, j] = (masks & mm) == mm
         return out
-    # Power-table path, exact for any p: table[v, e] = v^e mod p.
-    table = np.array([[pow(v, e, p) for e in range(cap + 1)] for v in range(p)], dtype=np.int64)
+    # powers[e] = arr^e mod p, only up to the largest exponent in use.
+    # Exact in int64: callers build a RowReducer over F_p first, which
+    # refuses (p-1)^2 >= 2^62.
+    powers = [np.ones_like(arr)]
+    for _ in range(max((max(mono) for mono in monomials), default=0)):
+        powers.append(powers[-1] * arr % p)
     for j, mono in enumerate(monomials):
         col = np.ones(rows, dtype=np.int64)
         for i, e in enumerate(mono):
             if e:
-                col = (col * table[arr[:, i], e]) % p
+                col = (col * powers[e][:, i]) % p
         out[:, j] = col
     return out
 
 
-def evaluation_matrix(points: Sequence[Point], m: int, p: int, cap: int) -> EvaluationMatrix:
-    """Materialized evaluation matrix with its row and column labels."""
-    arr = _points_array(points, p)
-    _validate_cap(arr, p, cap)
-    monos = monomials_upto(arr.shape[1], m, cap)
-    data = _eval_rows(arr, monos, p, cap)
-    pts = tuple(tuple(int(v) for v in row) for row in arr)
-    return EvaluationMatrix(FpMatrix(p, data), pts, monos)
+def _feed_points(red: RowReducer, arr: np.ndarray, monos: Sequence[Monomial], p: int, cap: int) -> None:
+    for start in range(0, arr.shape[0], _BLOCK_ROWS):
+        red.add_rows(_eval_rows(arr[start : start + _BLOCK_ROWS], monos, p, cap))
 
 
 def _reduce_points(points: Sequence[Point], m: int, p: int, cap: int) -> tuple[RowReducer, tuple[Monomial, ...]]:
@@ -91,11 +87,7 @@ def _reduce_points(points: Sequence[Point], m: int, p: int, cap: int) -> tuple[R
     _validate_cap(arr, p, cap)
     monos = monomials_upto(arr.shape[1], m, cap)
     red = RowReducer(p, len(monos))
-    if arr.shape[0] * len(monos) <= _STREAM_THRESHOLD:
-        red.add_rows(_eval_rows(arr, monos, p, cap))
-    else:
-        for start in range(0, arr.shape[0], _BLOCK_ROWS):
-            red.add_rows(_eval_rows(arr[start : start + _BLOCK_ROWS], monos, p, cap))
+    _feed_points(red, arr, monos, p, cap)
     return red, monos
 
 
@@ -110,12 +102,19 @@ def hilbert_series(points: Sequence[Point], p: int, cap: int) -> tuple[int, ...]
     pts = tuple(tuple(int(v) % p for v in pt) for pt in points)
     if len(set(pts)) != len(pts):
         raise ValueError("points must be distinct for a Hilbert series")
-    n = len(pts[0]) if pts else 0
+    arr = _points_array(pts, p)
+    _validate_cap(arr, p, cap)
+    n = arr.shape[1]
+    red = RowReducer(p, len(pts))
     values = []
+    fed = 0
     for m in range(n * cap + 1):
-        h = hilbert_value(pts, m, p, cap)
-        values.append(h)
-        if h == len(pts):
+        monos = monomials_upto(n, m, cap)
+        for start in range(fed, len(monos), _BLOCK_ROWS):
+            red.add_rows(_eval_rows(arr, monos[start : start + _BLOCK_ROWS], p, cap).T)
+        fed = len(monos)
+        values.append(red.rank)
+        if red.rank == len(pts):
             return tuple(values)
     raise AssertionError("series failed to stabilize below the interpolation degree")
 
@@ -125,6 +124,25 @@ def kernel_matrix(points: Sequence[Point], m: int, p: int, cap: int) -> tuple[np
     vanishing polynomials, over the reduced monomial columns."""
     red, monos = _reduce_points(points, m, p, cap)
     return red.kernel_matrix(), monos
+
+
+def nested_kernel(
+    points_f: Sequence[Point], points_g: Sequence[Point], m: int, p: int, cap: int
+) -> tuple[np.ndarray, tuple[Monomial, ...], int]:
+    """For point sets F contained in G: F's canonical degree-<= m kernel
+    (as :func:`kernel_matrix`), its monomial columns, and h(G) at m.
+
+    One elimination: the rows of the points of G outside F go into F's
+    reducer after its kernel is taken.  G is validated as a whole.
+    """
+    arr_g = _points_array(points_g, p)
+    _validate_cap(arr_g, p, cap)
+    red, monos = _reduce_points(points_f, m, p, cap)
+    kernel = red.kernel_matrix()
+    in_f = {tuple(pt) for pt in _points_array(points_f, p).tolist()}
+    outside = [tuple(pt) not in in_f for pt in arr_g.tolist()]
+    _feed_points(red, arr_g[outside], monos, p, cap)
+    return kernel, monos, red.rank
 
 
 def vector_to_polynomial(vec: np.ndarray, monomials: Sequence[Monomial], p: int) -> Polynomial:

@@ -21,8 +21,8 @@ from .gflinalg import matmul_mod
 from .hilbert import (
     _eval_rows,
     _points_array,
-    hilbert_value,
     kernel_matrix,
+    nested_kernel,
     vector_to_polynomial,
 )
 from .poly import Point
@@ -143,8 +143,7 @@ def verify_ideal_truncation_equality(
         "points_g": len(tg),
         "point_interpretation": "finite point subsets of F_p^n",
     }
-    h_g = hilbert_value(tg, m, p, cap)
-    kernel, monos = kernel_matrix(tf, m, p, cap)
+    kernel, monos, h_g = nested_kernel(tf, tg, m, p, cap)
     h_f = len(monos) - kernel.shape[0]
     metrics = {
         "h_f": int(h_f),
@@ -330,8 +329,7 @@ def verify_grid_remark(grid: GridInstance) -> VerificationReport:
         "cap": cap,
     }
     expected = total - 1
-    h_g = hilbert_value(points_g, m, grid.p, cap)
-    kernel, monos = kernel_matrix(points_f, m, grid.p, cap)
+    kernel, monos, h_g = nested_kernel(points_f, points_g, m, grid.p, cap)
     h_f = len(monos) - kernel.shape[0]
     metrics = {
         "h_f": int(h_f),

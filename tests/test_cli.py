@@ -1,5 +1,6 @@
 """CLI: thin-adapter golden checks, exit codes, output determinism."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -124,6 +125,21 @@ class TestVerifyCommands:
         assert body["status"] == "PASS"
         assert body["metrics"]["h_f"] == 5
 
+    def test_grid_large_prime_needs_no_p_by_p_table(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "grid", "--p", "65537", "--sets", "0,1;0,1", "--w", "0,0"
+        )
+        assert code == 0
+        assert json.loads(out)["status"] == "PASS"
+        code, out, _ = run_cli(
+            capsys, "verify", "grid", "--p", "65537", "--sets", "0,1,5;0,1,7;3,9",
+            "--w", "0,7,3",
+        )
+        assert code == 0
+        body = json.loads(out)
+        assert body["status"] == "PASS"
+        assert body["metrics"]["h_f"] == body["metrics"]["h_g"] == 17
+
     def test_timing_flag_adds_field(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "hrubes", "--p", "2", "--timing")
         assert code == 0
@@ -206,3 +222,11 @@ class TestDeterminism:
         body = json.loads(first.stdout)
         assert body["summary"]["fail"] == 0
         assert body["summary"]["not_applicable"] == 0
+
+    def test_verify_all_golden_bytes(self, capsys):
+        # Pins the default batch report across changes, not only run to run.
+        code, out, _ = run_cli(capsys, "verify", "all")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c0566e38616694d3a5ccead4b62a630c166c7e8b9649179091e2bae2f1dbb4bd"
+        )

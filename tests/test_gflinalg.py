@@ -13,7 +13,6 @@ from hilbfam.gflinalg import (
     kernel_basis,
     matmul_mod,
     rank_mod_p,
-    rref,
 )
 from hilbfam.hilbert import hilbert_value
 from hilbfam.setfam import binomial, make_uniform_family
@@ -69,36 +68,42 @@ def fp_matrices(draw, max_rows=8, max_cols=8):
     return FpMatrix.from_rows(entries, p)
 
 
+def reduce_all(m):
+    red = RowReducer(m.p, m.cols)
+    red.add_rows(m.data)
+    return red
+
+
 class TestRref:
     def test_identity_mod_2(self):
         m = FpMatrix.from_rows(np.eye(3, dtype=int), 2)
-        r, piv = rref(m)
-        assert r == m
-        assert piv == (0, 1, 2)
+        red = reduce_all(m)
+        assert red.echelon_rows().tolist() == m.data.tolist()
+        assert red.pivot_columns() == (0, 1, 2)
 
     def test_repeated_rows_mod_2(self):
-        r, piv = rref(FpMatrix.from_rows([[1, 1], [1, 1]], 2))
-        assert r.data.tolist() == [[1, 1], [0, 0]]
-        assert piv == (0,)
+        red = reduce_all(FpMatrix.from_rows([[1, 1], [1, 1]], 2))
+        assert red.echelon_rows().tolist() == [[1, 1]]
+        assert red.pivot_columns() == (0,)
 
     def test_proportional_rows_mod_5(self):
-        r, piv = rref(FpMatrix.from_rows([[2, 4], [1, 2]], 5))
-        assert r.data.tolist() == [[1, 2], [0, 0]]
-        assert piv == (0,)
+        red = reduce_all(FpMatrix.from_rows([[2, 4], [1, 2]], 5))
+        assert red.echelon_rows().tolist() == [[1, 2]]
+        assert red.pivot_columns() == (0,)
 
     @given(fp_matrices())
     def test_matches_oracle(self, m):
-        r, piv = rref(m)
+        red = reduce_all(m)
         expected, expected_piv = oracle_rref(m.data.tolist(), m.p)
-        assert r.data.tolist() == expected
-        assert piv == expected_piv
+        assert red.echelon_rows().tolist() == expected[: len(expected_piv)]
+        assert red.pivot_columns() == expected_piv
 
     @given(fp_matrices())
     def test_idempotent(self, m):
-        r, piv = rref(m)
-        r2, piv2 = rref(r)
-        assert r2 == r
-        assert piv2 == piv
+        red = reduce_all(m)
+        again = reduce_all(FpMatrix(m.p, red.echelon_rows()))
+        assert again.echelon_rows().tolist() == red.echelon_rows().tolist()
+        assert again.pivot_columns() == red.pivot_columns()
 
 
 class TestRank:
@@ -107,7 +112,7 @@ class TestRank:
             assert rank_mod_p(FpMatrix.from_rows(np.eye(4, dtype=int), p)) == 4
 
     def test_zero_matrix(self):
-        assert rank_mod_p(FpMatrix.zeros(3, 5, 3)) == 0
+        assert rank_mod_p(FpMatrix.from_rows(np.zeros((3, 5), dtype=int), 3)) == 0
 
     def test_proportional_rows(self):
         assert rank_mod_p(FpMatrix.from_rows([[1, 2], [2, 4]], 5)) == 1
@@ -153,7 +158,7 @@ class TestKernel:
     @given(fp_matrices())
     def test_kernel_canonical_form(self, m):
         basis = kernel_basis(m)
-        _, pivots = rref(m)
+        pivots = reduce_all(m).pivot_columns()
         free = [c for c in range(m.cols) if c not in pivots]
         assert len(basis) == len(free)
         for v, f in zip(basis, free):
@@ -164,19 +169,25 @@ class TestKernel:
 
 
 class TestEngineAgreement:
-    """The packed GF(2) engine must be bit-identical to the generic one."""
+    """Both engines must give the unique RREF, whatever the feeding."""
 
     @given(fp_matrices(max_rows=10, max_cols=12))
-    def test_bitpacked_matches_generic(self, m):
-        if m.p != 2:
-            m = FpMatrix(2, m.data % 2)
-        fast = RowReducer(2, m.cols)
-        slow = RowReducer(2, m.cols, force_generic=True)
-        fast.add_rows(m.data)
-        slow.add_rows(m.data)
-        assert fast.pivot_columns() == slow.pivot_columns()
-        assert fast.echelon_rows().tolist() == slow.echelon_rows().tolist()
-        assert fast.kernel_matrix().tolist() == slow.kernel_matrix().tolist()
+    def test_bitpacked_matches_oracle(self, m):
+        data = (m.data % 2).tolist()
+        red = RowReducer(2, m.cols)
+        red.add_rows(data)
+        expected, expected_piv = oracle_rref(data, 2)
+        assert red.pivot_columns() == expected_piv
+        assert red.echelon_rows().tolist() == expected[: len(expected_piv)]
+        # Canonical kernel from the oracle's RREF: 1 at its own free
+        # column, minus the echelon entries (= plus, mod 2) at the pivots.
+        free = [c for c in range(m.cols) if c not in expected_piv]
+        kernel = [[0] * m.cols for _ in free]
+        for vec, f in zip(kernel, free):
+            vec[f] = 1
+            for row, c in zip(expected, expected_piv):
+                vec[c] = row[f]
+        assert red.kernel_matrix().tolist() == kernel
 
     @given(fp_matrices(max_rows=12, max_cols=10), st.integers(1, 4))
     def test_block_feeding_matches_single_shot(self, m, block):

@@ -1,16 +1,19 @@
 """Hilbert values, series, truncated-ideal bases and both closed forms."""
 
+import math
 import random
 from itertools import permutations, product
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hilbfam import hilbert
 from hilbfam.hilbert import (
     HilbertReport,
-    evaluation_matrix,
+    _eval_rows,
     hilbert_series,
     hilbert_value,
     ideal_truncation_basis,
@@ -64,31 +67,48 @@ def oracle_hilbert(points, m, p, cap=1):
     return oracle_rank(rows, p)
 
 
+def eval_rows(points, m, p, cap):
+    arr = np.asarray(points, dtype=np.int64)
+    monos = monomials_upto(arr.shape[1], m, cap)
+    return _eval_rows(arr, monos, p, cap), monos
+
+
 class TestEvaluationMatrix:
     def test_two_point_example(self):
-        em = evaluation_matrix([(0, 0), (1, 1)], 1, 2, 1)
-        assert em.matrix.data.tolist() == [[1, 0, 0], [1, 1, 1]]
-        assert em.monomials == ((0, 0), (0, 1), (1, 0))
+        data, monos = eval_rows([(0, 0), (1, 1)], 1, 2, 1)
+        assert data.tolist() == [[1, 0, 0], [1, 1, 1]]
+        assert monos == ((0, 0), (0, 1), (1, 0))
 
     def test_single_origin_row(self):
-        em = evaluation_matrix([(0, 0, 0)], 2, 3, 1)
-        assert em.matrix.data[0].tolist() == [1] + [0] * (len(em.monomials) - 1)
+        data, monos = eval_rows([(0, 0, 0)], 2, 3, 1)
+        assert data[0].tolist() == [1] + [0] * (len(monos) - 1)
 
     def test_uniform_family_rows(self):
         points = make_uniform_family(4, 2).points()
-        em = evaluation_matrix(points, 1, 3, 1)
-        assert em.matrix.data.shape == (6, 5)
-        for row in em.matrix.data:
+        data, _ = eval_rows(points, 1, 3, 1)
+        assert data.shape == (6, 5)
+        for row in data:
             assert row[0] == 1
             assert int(row[1:].sum()) == 2
 
     def test_cap_one_rejects_non_binary_points(self):
         with pytest.raises(ValueError):
-            evaluation_matrix([(0, 2)], 1, 3, 1)
+            hilbert_value([(0, 2)], 1, 3, 1)
 
     def test_empty_point_list_rejected(self):
         with pytest.raises(ValueError):
-            evaluation_matrix([], 1, 2, 1)
+            hilbert_value([], 1, 2, 1)
+
+    @given(st.sampled_from([3, 5, 7, 65537]), st.integers(1, 3), st.integers(0, 3),
+           st.randoms(use_true_random=False))
+    def test_power_path_matches_pow(self, p, n, m, rng):
+        points = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(4)]
+        data, monos = eval_rows(points, m, p, p - 1)
+        expected = [
+            [math.prod(pow(x, e, p) for x, e in zip(pt, mono)) % p for mono in monos]
+            for pt in points
+        ]
+        assert data.tolist() == expected
 
 
 class TestHilbertValue:
@@ -140,6 +160,61 @@ class TestHilbertSeries:
         assert all(a <= b for a, b in zip(series, series[1:]))
         assert series[-1] == len(points)
         assert len(series) - 1 <= n
+
+
+def series_by_values(points, p, cap):
+    """The series by its definition: h(m) for m = 0, 1, ... until h = |points|."""
+    values = []
+    for m in range(len(points[0]) * cap + 1):
+        values.append(hilbert_value(points, m, p, cap))
+        if values[-1] == len(points):
+            return tuple(values)
+    raise AssertionError("no stabilization")
+
+
+@st.composite
+def binary_point_sets(draw):
+    n = draw(st.integers(1, 5))
+    codes = draw(st.sets(st.integers(0, 2**n - 1), min_size=1, max_size=12))
+    return [tuple((c >> i) & 1 for i in range(n)) for c in sorted(codes)]
+
+
+@st.composite
+def grid_point_sets(draw):
+    p = draw(st.sampled_from([3, 5]))
+    n = draw(st.integers(1, 3))
+    grid = list(product(range(p), repeat=n))
+    picks = draw(st.sets(st.integers(0, len(grid) - 1), min_size=1, max_size=15))
+    return p, [grid[i] for i in sorted(picks)]
+
+
+class TestSeriesOneElimination:
+    """The transposed one-reducer series against per-degree values, with
+    blocks small enough that degree slices span several of them."""
+
+    @given(binary_point_sets(), st.sampled_from([2, 3, 5]))
+    def test_binary_points(self, points, p):
+        with mock.patch.object(hilbert, "_BLOCK_ROWS", 3):
+            assert hilbert_series(points, p, 1) == series_by_values(points, p, 1)
+
+    @settings(max_examples=30)
+    @given(grid_point_sets())
+    def test_grid_subsets_at_cap_p_minus_1(self, case):
+        p, points = case
+        with mock.patch.object(hilbert, "_BLOCK_ROWS", 3):
+            series = hilbert_series(points, p, p - 1)
+            assert series == series_by_values(points, p, p - 1)
+        assert series == tuple(oracle_hilbert(points, m, p, p - 1) for m in range(len(series)))
+
+    def test_errors_unchanged(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            hilbert_series([], 2, 1)
+        with pytest.raises(ValueError, match="inconsistent dimensions"):
+            hilbert_series([(0, 1), (1,)], 2, 1)
+        with pytest.raises(ValueError, match="0/1-valued"):
+            hilbert_series([(0, 2)], 3, 1)
+        with pytest.raises(ValueError, match="exponent cap"):
+            hilbert_series([(0, 1)], 5, 2)
 
 
 class TestIdealTruncationBasis:

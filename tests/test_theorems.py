@@ -2,11 +2,15 @@
 
 import json
 from itertools import combinations, product
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from hilbfam.hilbert import modq_value, wilson_value
+from hilbfam import hilbert
+from hilbfam.hilbert import hilbert_value, modq_value, wilson_value
 from hilbfam.setfam import EnumerationCapError, make_modq_family, make_uniform_family
 from hilbfam.theorems import (
     FAIL,
@@ -52,6 +56,64 @@ class TestIdealTruncationEquality:
         pts = make_uniform_family(3, 1).points()
         rep = verify_ideal_truncation_equality(pts, pts, 1, 2, 1)
         assert rep.params["point_interpretation"] == "finite point subsets of F_p^n"
+
+
+def small_blocks():
+    """Blocks of 3 rows, so F and the rows of G outside F span several."""
+    return mock.patch.object(hilbert, "_BLOCK_ROWS", 3)
+
+
+class TestNestedOneElimination:
+    """h_g comes from F's reducer; it must equal h(G) computed on its own."""
+
+    def check(self, f, g, m, p, cap=1):
+        with small_blocks():
+            rep = verify_ideal_truncation_equality(f, g, m, p, cap)
+        assert rep.metrics["h_g"] == hilbert_value(g, m, p, cap)
+        assert rep.metrics["h_f"] == hilbert_value(f, m, p, cap)
+        return rep
+
+    def test_g_equals_f(self):
+        pts = make_uniform_family(5, 2).points()
+        assert self.check(pts, pts, 2, 3).status == PASS
+
+    def test_g_repeats_points_of_f(self):
+        f = make_uniform_family(4, 2).points()
+        g = f + f[:3] + make_uniform_family(4, 0).points() + f[:2]
+        rep = self.check(f, g, 1, 2)
+        assert rep.metrics["matrix_shape_g"] == [len(g), 5]
+
+    def test_not_applicable_pair(self):
+        f = make_uniform_family(5, 2).points()
+        g = make_modq_family(5, 2, 2).points()
+        rep = self.check(f, g, 3, 2)
+        assert rep.status == NOT_APPLICABLE
+        assert rep.metrics["h_f"] != rep.metrics["h_g"]
+
+    def test_f_not_inside_g_rejected(self):
+        with small_blocks(), pytest.raises(ValueError, match="contained"):
+            verify_ideal_truncation_equality([(1, 0)], [(0, 1)], 1, 2, 1)
+
+    def test_g_validated_as_a_whole(self):
+        with pytest.raises(ValueError, match="inconsistent dimensions"):
+            verify_ideal_truncation_equality([(0, 1)], [(0, 1), (1,)], 1, 2, 1)
+        with pytest.raises(ValueError, match="0/1-valued"):
+            verify_ideal_truncation_equality([(0, 1)], [(0, 1), (2, 0)], 1, 3, 1)
+
+    @given(st.integers(1, 5), st.sampled_from([2, 3, 5]), st.integers(0, 4),
+           st.randoms(use_true_random=False))
+    def test_random_nested_binary_sets(self, n, p, m, rng):
+        cube = list(product((0, 1), repeat=n))
+        g = rng.sample(cube, rng.randrange(1, len(cube) + 1))
+        f = rng.sample(g, rng.randrange(1, len(g) + 1))
+        self.check(f, g + f[:2], m, p)
+
+    def test_grid_remark_h_g(self):
+        grid = GridInstance(5, 2, ((0, 1, 3), (2, 4)), (3, 4))
+        with small_blocks():
+            rep = verify_grid_remark(grid)
+        assert rep.status == PASS
+        assert rep.metrics["h_g"] == hilbert_value(grid.grid_points(), rep.params["m"], 5, 4) == 5
 
 
 class TestMain2:
