@@ -3,19 +3,25 @@
 A family over [2d] balances a set L of intersection sizes if every
 d-subset meets some family member in a size belonging to L.  For ground
 sets of size 2p, p prime, any such family must have at least n/(2|L|)
-members; the certificate is the expanded product of affine forms
-(<x, v_i> - l), nonzero at the origin yet vanishing on every d-subset
-point, which no low-degree polynomial can do.
+members; the certificate is the product of affine forms (<x, v_g> - l),
+nonzero at the origin yet vanishing on every d-subset point, which no
+low-degree polynomial can do.  `check_lower_bound` evaluates it factored,
+one intersection count per factor; `witness_poly` is its expansion.  The
+search keeps a partial family's coverage as one bitmap int over the
+d-subsets, so its first uncovered d-subset is the lowest zero bit.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .poly import Polynomial, evaluate, expand_affine_product
+import numpy as np
+
+from .poly import Polynomial, expand_affine_product
 from .setfam import (
     EnumerationCapError,
     SetFamily,
@@ -32,6 +38,9 @@ from .theorems import (
     VerificationReport,
     _elapsed_ms,
 )
+
+# Entries of one chunk of the candidate x d-subset intersection product.
+_COVER_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -89,7 +98,8 @@ def witness_poly(inst: BalancingInstance, p: int) -> Polynomial:
 
     One affine factor per (member, l) pair; intersection sizes lie in
     0..p and l in 1..p-1, so vanishing of a factor mod p pins the exact
-    intersection size.
+    intersection size.  Raises EnumerationCapError when the expansion's
+    term bound passes the enumeration cap (see expand_affine_product).
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -139,26 +149,40 @@ def check_lower_bound(inst: BalancingInstance, p: int) -> VerificationReport:
             wall_time_ms=_elapsed_ms(start),
         )
     m, s, n = inst.size, inst.s, inst.n
-    cert = witness_poly(inst, p)
-    origin_value = evaluate(cert, (0,) * n)
+    # The certificate factored: one (member mask, l) pair per affine form.
+    # Its value at a 0/1 point F is the product of (|F & g| - l) mod p.
+    factors = [(g.bitmask, ell) for g in inst.family.sets for ell in inst.L]
+
+    def value_at(fmask: int) -> int:
+        value = 1
+        for gmask, ell in factors:
+            value = value * ((fmask & gmask).bit_count() - ell) % p
+            if not value:
+                break
+        return value
+
+    origin_value = value_at(0)
     # Each affine factor contributes -l at the origin, so the exact value
     # is (prod of -l)^m; nonzero because every l lies in 1..p-1.
     expected_origin = 1
     for ell in inst.L:
         expected_origin = (expected_origin * (-ell)) % p
     expected_origin = pow(expected_origin, m, p)
-    degree = cert.degree
+    # F_p[x] is an integral domain and every factor is nonzero (l lies in
+    # 1..p-1), so the expansion's degree is the number of factors with a
+    # nonzero linear part: those of the nonempty members.
+    degree = sum(1 for gmask, _ in factors if gmask)
     bound_ok = 2 * s * m >= n
     deg_ok = degree <= m * s
     origin_ok = origin_value == expected_origin and origin_value != 0
     vanish_witness = None
     for combo in combinations(range(1, n + 1), p):
-        point = char_vector(Subset(combo), n)
-        value = evaluate(cert, point)
+        subset = Subset(combo)
+        value = value_at(subset.bitmask)
         if value:
             vanish_witness = {
-                "polynomial": str(cert),
-                "point": list(point),
+                "polynomial": str(witness_poly(inst, p)),
+                "point": list(char_vector(subset, n)),
                 "value": value,
             }
             break
@@ -167,10 +191,10 @@ def check_lower_bound(inst: BalancingInstance, p: int) -> VerificationReport:
         "s": s,
         "bound_lhs": 2 * s * m,
         "bound_rhs": n,
-        "certificate_degree": int(degree),
+        "certificate_degree": degree,
         "origin_value": origin_value,
         "expected_origin_value": expected_origin,
-        "checked_points": len(list(combinations(range(1, n + 1), p))),
+        "checked_points": math.comb(n, p),
     }
     failures = {}
     if not bound_ok:
@@ -219,7 +243,9 @@ def min_balancing_size(
     Candidate members default to all nonempty proper subsets of [n].
     Branching always extends through the lexicographically first
     uncovered d-subset, which every balancing family must cover, so the
-    search is exhaustive for each size.
+    search is exhaustive for each size.  Each candidate's coverage bitmap
+    takes C(n, d) bits; EnumerationCapError is raised when C(n, d), or the
+    bitmaps counted in 64-bit words, exceed the enumeration cap.
     """
     if n < 4 or n % 2:
         raise ValueError(f"ground-set size must be even and at least 4, got {n}")
@@ -240,41 +266,58 @@ def min_balancing_size(
         for g in pool:
             if not g.members or len(g.members) == n or g.members[-1] > n:
                 raise ValueError(f"candidate {g} must be a nonempty proper subset of [{n}]")
-    pool_masks = [g.bitmask for g in pool]
-    target_set = set(targets)
-    d_subsets = list(combinations(range(1, n + 1), d))
-    d_masks = [sum(1 << (i - 1) for i in combo) for combo in d_subsets]
+    n_d = math.comb(n, d)
+    words = len(pool) * -(-n_d // 64)
+    if max(n_d, words) > enumeration_cap():
+        raise EnumerationCapError(
+            f"{n_d} d-subsets, coverage bitmaps of {len(pool)} candidates in "
+            f"{words} 64-bit words; cap is {enumeration_cap()}"
+        )
+    d_subsets = list(combinations(range(n), d))
+    # Bit i of a candidate's bitmap: it meets the i-th d-subset, in
+    # combinations order, in a size from L.  Built in row chunks so the
+    # 0/1 product stays small.
+    masks = np.array([g.bitmask for g in pool], dtype=np.int64)
+    cand_pts = ((masks[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+    d_pts = np.zeros((n_d, n), dtype=np.uint8)
+    d_pts[np.arange(n_d)[:, None], d_subsets] = 1
+    in_L = np.zeros(n + 1, dtype=bool)
+    in_L[list(targets)] = True
+    bitmaps: list[int] = []
+    rows = max(1, _COVER_CHUNK // n_d)
+    for lo in range(0, len(pool), rows):
+        hits = in_L[cand_pts[lo:lo + rows] @ d_pts.T]
+        packed = np.packbits(hits, axis=1, bitorder="little")
+        bitmaps.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+    entries = list(zip(pool, bitmaps))
+    full = (1 << n_d) - 1
+    # Branches at the i-th d-subset: the candidates covering it, in pool
+    # order, listed the first time the search stops there.
+    branches: dict[int, list[tuple[Subset, int]]] = {}
 
     explored = 0
 
-    def first_uncovered(chosen: list[int]) -> int | None:
-        for idx, fmask in enumerate(d_masks):
-            if not any((fmask & g).bit_count() in target_set for g in chosen):
-                return idx
-        return None
-
-    def dfs(chosen: list[int], members: list[Subset], depth_left: int) -> list[Subset] | None:
+    def dfs(covered: int, members: list[Subset], depth_left: int) -> list[Subset] | None:
         nonlocal explored
         explored += 1
-        missing = first_uncovered(chosen)
-        if missing is None:
+        if covered == full:
             return list(members)
         if depth_left == 0:
             return None
-        fmask = d_masks[missing]
-        for g, gmask in zip(pool, pool_masks):
-            if (fmask & gmask).bit_count() in target_set:
-                chosen.append(gmask)
-                members.append(g)
-                found = dfs(chosen, members, depth_left - 1)
-                chosen.pop()
-                members.pop()
-                if found is not None:
-                    return found
+        missing = (~covered & (covered + 1)).bit_length() - 1
+        options = branches.get(missing)
+        if options is None:
+            options = branches[missing] = [e for e in entries if e[1] >> missing & 1]
+        for g, bitmap in options:
+            members.append(g)
+            found = dfs(covered | bitmap, members, depth_left - 1)
+            members.pop()
+            if found is not None:
+                return found
         return None
 
     for k in range(1, size_limit + 1):
-        found = dfs([], [], k)
+        found = dfs(0, [], k)
         if found is not None:
             family = SetFamily(n, tuple(found))
             return SearchResult(k, family, explored, False)

@@ -7,9 +7,12 @@ on the exponent tuple.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
+
+from .setfam import EnumerationCapError, enumeration_cap
 
 Monomial = tuple[int, ...]
 Point = tuple[int, ...]
@@ -207,8 +210,17 @@ def expand_affine_product(
     """Fully expanded product of affine forms (<x, v> - c).
 
     The empty product is the constant 1.  No exponent reduction is
-    applied, so the degree is at most the number of factors.
+    applied, so the degree is at most the number of factors k, and the
+    product can have up to C(n+k, k) terms; past the enumeration cap this
+    raises EnumerationCapError before expanding anything.
     """
+    factors = list(factors)
+    terms_bound = math.comb(n + len(factors), len(factors))
+    if terms_bound > enumeration_cap():
+        raise EnumerationCapError(
+            f"product of {len(factors)} affine forms in {n} variables may have "
+            f"{terms_bound} terms, cap is {enumeration_cap()}"
+        )
     acc = Polynomial.constant(1, p, n)
     for v, c in factors:
         if len(v) != n:

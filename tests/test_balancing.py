@@ -1,12 +1,15 @@
 """Balancing families: coverage check, certificate, bound, search."""
 
 import random
+import time
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hilbfam import balancing
 from hilbfam.balancing import (
     BalancingInstance,
     check_lower_bound,
@@ -15,7 +18,7 @@ from hilbfam.balancing import (
     witness_poly,
 )
 from hilbfam.poly import Polynomial, evaluate
-from hilbfam.setfam import SetFamily, Subset, char_vector
+from hilbfam.setfam import ENUMERATION_CAP_ENV, EnumerationCapError, SetFamily, Subset, char_vector
 from hilbfam.theorems import FAIL, NOT_APPLICABLE, PASS
 
 
@@ -30,6 +33,42 @@ def brute_is_balancing(n, L, members):
         if not any(len(set(combo) & set(g)) in targets for g in members):
             return False
     return True
+
+
+def expanded_reference(inst, p):
+    """The certificate quantities check_lower_bound reports, from the expansion.
+
+    Returns the origin value, the degree, the number of p-subsets and the
+    first p-subset point where the expanded certificate is nonzero (with
+    its value), or None there.
+    """
+    cert = witness_poly(inst, p)
+    points = [char_vector(Subset(c), inst.n) for c in combinations(range(1, inst.n + 1), p)]
+    nonzero = None
+    for point in points:
+        value = evaluate(cert, point)
+        if value:
+            nonzero = {"polynomial": str(cert), "point": list(point), "value": value}
+            break
+    return evaluate(cert, (0,) * inst.n), cert.degree, len(points), nonzero
+
+
+def assert_matches_expansion(inst, p, rep):
+    origin, degree, count, nonzero = expanded_reference(inst, p)
+    assert rep.metrics["origin_value"] == origin
+    assert rep.metrics["certificate_degree"] == degree
+    assert rep.metrics["checked_points"] == count
+    assert (rep.witnesses or {}).get("vanishing") == nonzero
+    bound_ok = 2 * inst.s * inst.size >= inst.n
+    assert (rep.status == PASS) == (bound_ok and degree <= inst.s * inst.size and nonzero is None)
+
+
+# A balancing family over [10] at p = 5 whose certificate has 16 factors;
+# expanding it took minutes and hundreds of MB.
+SIXTEEN_FACTORS = (
+    (1, 2, 3, 4, 5, 6, 7, 10), (1, 2, 3, 5, 6, 7, 8, 10), (1, 3, 4, 6, 8, 9),
+    (1, 5, 7, 8, 9, 10), (1, 7), (2, 3, 4, 6, 8), (2, 3, 5, 6, 7, 10), (4, 9, 10),
+)
 
 
 @st.composite
@@ -178,6 +217,60 @@ class TestCheckLowerBound:
         else:
             assert rep.status == NOT_APPLICABLE
 
+    @given(instances())
+    def test_factored_check_matches_expansion(self, case):
+        inst, p = case
+        rep = check_lower_bound(inst, p)
+        if rep.status == NOT_APPLICABLE:
+            # Non-balancing: the expansion is nonzero on some p-subset.
+            assert expanded_reference(inst, p)[3] is not None
+        else:
+            assert_matches_expansion(inst, p, rep)
+
+    @given(instances())
+    def test_factored_fail_witness_matches_expansion(self, case):
+        # Forcing the coverage check past a non-balancing family reaches
+        # the FAIL path: its point, value and rendered polynomial must be
+        # those of the expansion.
+        inst, p = case
+        with mock.patch.object(balancing, "is_balancing", return_value=(True, None)):
+            rep = check_lower_bound(inst, p)
+        assert_matches_expansion(inst, p, rep)
+
+    def test_factored_check_matches_expansion_n10(self):
+        # Certificate of 2658 terms, the benchmark's first given family.
+        inst = BalancingInstance(
+            family(10, (1, 2, 4, 8, 10), (3, 4, 6, 7, 8), (4, 5, 6, 9, 10)), (2, 3)
+        )
+        assert len(witness_poly(inst, 5).terms) == 2658
+        rep = check_lower_bound(inst, 5)
+        assert rep.status == PASS
+        assert_matches_expansion(inst, 5, rep)
+
+    def test_empty_member_factor_is_constant(self):
+        # Family files may list the empty set; its factors are the
+        # constants -l and add nothing to the degree.
+        inst = BalancingInstance(family(4, (), (1, 3), (1, 2)), (1,))
+        rep = check_lower_bound(inst, 2)
+        assert rep.status == PASS
+        assert rep.metrics["certificate_degree"] == 2
+        assert_matches_expansion(inst, 2, rep)
+
+    def test_sixteen_factor_certificate_is_fast(self, monkeypatch):
+        inst = BalancingInstance(family(10, *SIXTEEN_FACTORS), (1, 2))
+        start = time.perf_counter()
+        rep = check_lower_bound(inst, 5)
+        elapsed = time.perf_counter() - start
+        assert rep.status == PASS
+        assert rep.metrics["certificate_degree"] == 16
+        assert rep.metrics["checked_points"] == 252
+        assert elapsed < 5
+        # The check never expands: it passes under a cap the expansion fails.
+        monkeypatch.setenv(ENUMERATION_CAP_ENV, "1000")
+        assert check_lower_bound(inst, 5).as_dict() == rep.as_dict()
+        with pytest.raises(EnumerationCapError):
+            witness_poly(inst, 5)
+
 
 class TestSearch:
     def test_n4_minimum_is_two(self):
@@ -224,6 +317,47 @@ class TestSearch:
         for size in range(1, res.minimum_size):
             for members in combinations(options, size):
                 assert not brute_is_balancing(n, L, members)
+
+    def test_n8_L1_pinned(self):
+        res = min_balancing_size(8, (1,), 6)
+        assert res.as_dict() == {
+            "minimum_size": 4,
+            "witness_family": [[1, 2], [1, 3], [1, 4], [1, 5]],
+            "explored": 541068,
+            "limit_hit": False,
+        }
+
+    def test_n8_L13_pinned(self):
+        # perfbench/exhaustive_min.py proves the minimum 4 independently;
+        # the node count and witness are those of the earlier per-node
+        # rescanning search, which took 213 s to reach them.
+        res = min_balancing_size(8, (1, 3), 6)
+        assert res.as_dict() == {
+            "minimum_size": 4,
+            "witness_family": [[1, 2, 3, 4], [1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 7], [1, 2, 3, 5]],
+            "explored": 6390800,
+            "limit_hit": False,
+        }
+        assert brute_is_balancing(8, (1, 3), [g.members for g in res.witness_family])
+
+    def test_bitmap_size_capped(self, monkeypatch):
+        # 254 candidates x C(8,4) = 70 d-subsets take two 64-bit words each.
+        uncapped = min_balancing_size(8, (2,), 2)
+        monkeypatch.setenv(ENUMERATION_CAP_ENV, "507")
+        with pytest.raises(EnumerationCapError):
+            min_balancing_size(8, (2,), 2)
+        monkeypatch.setenv(ENUMERATION_CAP_ENV, "508")
+        assert min_balancing_size(8, (2,), 2) == uncapped
+        # One candidate, but C(40, 20) d-subsets: refused before listing them.
+        with pytest.raises(EnumerationCapError):
+            min_balancing_size(40, (1,), 1, candidates=[Subset((1,))])
+
+    @pytest.mark.parametrize("chunk", [1, 150, 1000])
+    def test_bitmaps_independent_of_chunking(self, monkeypatch, chunk):
+        cases = [((2,), 3), ((1, 3), 2)]
+        expected = [min_balancing_size(8, L, limit).as_dict() for L, limit in cases]
+        monkeypatch.setattr(balancing, "_COVER_CHUNK", chunk)
+        assert [min_balancing_size(8, L, limit).as_dict() for L, limit in cases] == expected
 
     def test_found_families_satisfy_bound(self):
         for L in [(1,), (2,), (1, 2)]:

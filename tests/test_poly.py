@@ -15,6 +15,7 @@ from hilbfam.poly import (
     monomials_upto,
     multilinear_reduce,
 )
+from hilbfam.setfam import ENUMERATION_CAP_ENV, EnumerationCapError
 
 
 @st.composite
@@ -136,6 +137,15 @@ class TestExpandAffineProduct:
     def test_degree_bounded_by_factor_count(self):
         factors = [((1, 1), 1), ((1, 0), 2), ((0, 1), 1)]
         assert expand_affine_product(factors, 3, 2).degree <= 3
+
+    def test_term_bound_over_cap_fails_fast(self, monkeypatch):
+        # Three factors in two variables: at most C(5, 3) = 10 terms.
+        factors = [((1, 1), 1), ((1, 0), 2), ((0, 1), 1)]
+        monkeypatch.setenv(ENUMERATION_CAP_ENV, "10")
+        assert expand_affine_product(factors, 3, 2).degree == 3
+        monkeypatch.setenv(ENUMERATION_CAP_ENV, "9")
+        with pytest.raises(EnumerationCapError):
+            expand_affine_product(iter(factors), 3, 2)
 
 
 class TestPolynomialRepresentation:
