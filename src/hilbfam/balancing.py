@@ -99,7 +99,7 @@ def witness_poly(inst: BalancingInstance, p: int) -> Polynomial:
     One affine factor per (member, l) pair; intersection sizes lie in
     0..p and l in 1..p-1, so vanishing of a factor mod p pins the exact
     intersection size.  Raises EnumerationCapError when the expansion's
-    term bound passes the enumeration cap (see expand_affine_product).
+    size bound passes the enumeration cap (see expand_affine_product).
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")

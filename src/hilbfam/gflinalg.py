@@ -2,20 +2,20 @@
 
 Everything here funnels through one object, :class:`RowReducer`, which
 maintains the reduced row echelon form of the rows fed to it so far.
-Because the RREF of a row space is unique, the two internal engines
-(word-parallel XOR on int-packed rows for p = 2, panel-blocked
-elimination for odd p) are interchangeable: rank, pivot columns and the
-canonical kernel basis come out identical whichever one ran.  Rows can
-be supplied incrementally, so callers with very large matrices never
-need to materialize them.
+Rows can be supplied incrementally, so callers with very large matrices
+never need to materialize them.  One engine serves every p, p = 2
+included; since the RREF of a row space is unique, rank, pivot columns
+and the canonical kernel basis do not depend on how the rows arrive.
 
-The odd-p engine follows the delayed-update scheme of Dumas, Giorgi and
+The engine follows the delayed-update scheme of Dumas, Giorgi and
 Pernet (FFLAS-FFPACK, ACM TOMS 2008).  A block of rows is reduced once
 against the basis, then eliminated in panels of ``_PANEL`` rows: each
 panel is reduced against the rows earlier panels of the block added,
 brought to RREF locally, and clears its new pivot columns from the basis
 with one :func:`matmul_mod` per ``_PANEL`` basis rows it touches, so the
 back-elimination never holds a temporary larger than ``_PANEL`` x cols.
+The basis is in RREF, the identity on its pivot columns, so reducing a
+block multiplies only on the free columns and zeroes the pivot ones.
 All products are exact in int64 (and in float64 BLAS where
 :func:`matmul_mod` can prove it) while ``max(cols, 1) * (p-1)^2 < 2^62``;
 :class:`RowReducer` refuses larger fields at construction.
@@ -35,7 +35,7 @@ from .setfam import is_prime
 _FLOAT_EXACT_LIMIT = 2**53
 _INT64_EXACT_LIMIT = 2**62
 
-# Rows per panel of the odd-p engine.
+# Rows per elimination panel.
 _PANEL = 64
 
 
@@ -124,16 +124,6 @@ class FpVector:
         return f"FpVector(p={self.p}, values={self.values})"
 
 
-def _pack_gf2_row(row: np.ndarray) -> int:
-    bits = np.packbits(row.astype(np.uint8), bitorder="little")
-    return int.from_bytes(bits.tobytes(), "little")
-
-
-def _unpack_gf2_row(bits: int, cols: int) -> np.ndarray:
-    raw = bits.to_bytes((cols + 7) // 8 or 1, "little")
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=cols, bitorder="little").astype(np.int64)
-
-
 class RowReducer:
     """Incremental reduced-row-echelon accumulator over F_p.
 
@@ -155,24 +145,18 @@ class RowReducer:
             )
         self.p = p
         self.cols = cols
-        self._bitpack = p == 2
-        # p = 2: map pivot column -> fully reduced packed row.
-        self._bit_rows: dict[int, int] = {}
-        # odd p: growing basis matrix plus parallel pivot-column list.
+        # Growing basis matrix, its pivot column per row, and a mask of
+        # the pivot columns.
         self._basis = np.zeros((0, cols), dtype=np.int64)
         self._pivots: list[int] = []
-        self._count = 0
-
-    # -- shared surface ------------------------------------------------
+        self._is_pivot = np.zeros(cols, dtype=bool)
 
     @property
     def rank(self) -> int:
-        return len(self._bit_rows) if self._bitpack else self._count
+        return len(self._pivots)
 
     def pivot_columns(self) -> tuple[int, ...]:
-        if self._bitpack:
-            return tuple(sorted(self._bit_rows))
-        return tuple(sorted(self._pivots[: self._count]))
+        return tuple(sorted(self._pivots))
 
     def add_rows(self, rows) -> None:
         arr = np.asarray(rows, dtype=np.int64)
@@ -180,24 +164,12 @@ class RowReducer:
             arr = arr[None, :]
         if arr.shape[1] != self.cols:
             raise ValueError(f"expected {self.cols} columns, got {arr.shape[1]}")
-        arr = arr % self.p
-        if self._bitpack:
-            for i in range(arr.shape[0]):
-                self._insert_bits(_pack_gf2_row(arr[i]))
-        else:
-            self._add_block_generic(arr)
+        self._add_block(arr % self.p)
 
     def echelon_rows(self) -> np.ndarray:
         """The nonzero rows of the RREF, ordered by pivot column."""
-        if self._bitpack:
-            cols_sorted = sorted(self._bit_rows)
-            if not cols_sorted:
-                return np.zeros((0, self.cols), dtype=np.int64)
-            return np.stack([_unpack_gf2_row(self._bit_rows[j], self.cols) for j in cols_sorted])
-        if self._count == 0:
-            return np.zeros((0, self.cols), dtype=np.int64)
-        order = np.argsort(np.asarray(self._pivots[: self._count]))
-        return self._basis[: self._count][order].copy()
+        order = np.argsort(np.asarray(self._pivots, dtype=np.int64))
+        return self._basis[: self.rank][order]
 
     def kernel_matrix(self) -> np.ndarray:
         """Canonical kernel basis, one row per free column, ascending.
@@ -206,39 +178,33 @@ class RowReducer:
         other free columns and the negated echelon entries at the pivot
         columns.
         """
-        pivots = np.asarray(self.pivot_columns(), dtype=np.int64)
-        rows = self.echelon_rows()
-        free = np.setdiff1d(np.arange(self.cols), pivots)
+        pivots = np.flatnonzero(self._is_pivot)
+        free = np.flatnonzero(~self._is_pivot)
         kernel = np.zeros((free.size, self.cols), dtype=np.int64)
         kernel[np.arange(free.size), free] = 1
         if pivots.size and free.size:
-            kernel[:, pivots] = (-rows[:, free].T) % self.p
+            kernel[:, pivots] = (-self.echelon_rows()[:, free].T) % self.p
         return kernel
 
-    # -- p = 2 engine ----------------------------------------------------
-
-    def _insert_bits(self, r: int) -> None:
-        # One pass suffices: each pivot row is zero at all other pivot
-        # columns, so clearing one pivot bit never sets another.
-        for j, row in self._bit_rows.items():
-            if (r >> j) & 1:
-                r ^= row
-        if not r:
-            return
-        j = (r & -r).bit_length() - 1
-        for jj, row in self._bit_rows.items():
-            if (row >> j) & 1:
-                self._bit_rows[jj] = row ^ r
-        self._bit_rows[j] = r
-
-    # -- generic engine ----------------------------------------------------
+    # -- elimination -------------------------------------------------------
 
     def _reduce_against(self, block: np.ndarray, start: int, stop: int) -> None:
-        """Reduce `block` in place against basis rows start..stop."""
-        coeffs = block[:, self._pivots[start:stop]]
+        """Reduce `block` in place against basis rows start..stop.
+
+        Each basis row is 1 at its own pivot and 0 at every other pivot,
+        so on pivot columns the full product would only cancel these
+        rows' coefficients: multiply on the free columns and zero these
+        rows' pivots."""
+        pivots = self._pivots[start:stop]
+        coeffs = block[:, pivots]
         if coeffs.any():
-            block -= matmul_mod(coeffs, self._basis[start:stop], self.p)
-            block %= self.p
+            # np.take gathers columns faster than fancy indexing does.
+            free = np.flatnonzero(~self._is_pivot)
+            sub = np.take(block, free, axis=1)
+            sub -= matmul_mod(coeffs, np.take(self._basis[start:stop], free, axis=1), self.p)
+            sub %= self.p
+            block[:, free] = sub
+            block[:, pivots] = 0
 
     def _eliminate_panel(self, panel: np.ndarray) -> tuple[np.ndarray, list[int]]:
         """Gauss-Jordan a panel in place with leftmost pivots; return its
@@ -270,7 +236,7 @@ class RowReducer:
         basis = self._basis
         lo = min(pivots)
         rows = rows[:, lo:]
-        hit = np.flatnonzero(basis[: self._count, pivots].any(axis=1))
+        hit = np.flatnonzero(basis[: self.rank, pivots].any(axis=1))
         for start in range(0, hit.size, _PANEL):
             idx = hit[start : start + _PANEL]
             sub = basis[idx, lo:]
@@ -279,23 +245,24 @@ class RowReducer:
             basis[idx, lo:] = sub
 
     def _append(self, rows: np.ndarray, pivots: list[int]) -> None:
-        stop = self._count + len(pivots)
+        count = self.rank
+        stop = count + len(pivots)
         if stop > self._basis.shape[0]:
             capacity = min(max(64, 2 * self._basis.shape[0], stop), self.cols)
             fresh = np.zeros((capacity, self.cols), dtype=np.int64)
-            fresh[: self._count] = self._basis[: self._count]
+            fresh[:count] = self._basis[:count]
             self._basis = fresh
-        self._basis[self._count : stop] = rows
+        self._basis[count:stop] = rows
         self._pivots.extend(pivots)
-        self._count = stop
+        self._is_pivot[pivots] = True
 
-    def _add_block_generic(self, block: np.ndarray) -> None:
-        self._reduce_against(block, 0, self._count)
-        block_start = self._count
+    def _add_block(self, block: np.ndarray) -> None:
+        self._reduce_against(block, 0, self.rank)
+        block_start = self.rank
         live = np.flatnonzero(block.any(axis=1))
         for start in range(0, live.size, _PANEL):
             panel = block[live[start : start + _PANEL]]
-            self._reduce_against(panel, block_start, self._count)
+            self._reduce_against(panel, block_start, self.rank)
             rows, pivots = self._eliminate_panel(panel)
             if pivots:
                 self._back_eliminate(rows, pivots)

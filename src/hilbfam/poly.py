@@ -211,15 +211,17 @@ def expand_affine_product(
 
     The empty product is the constant 1.  No exponent reduction is
     applied, so the degree is at most the number of factors k, and the
-    product can have up to C(n+k, k) terms; past the enumeration cap this
-    raises EnumerationCapError before expanding anything.
+    product can have up to C(n+k, k) terms of n exponents and a
+    coefficient each; when those C(n+k, k)·(n+1) entries pass the
+    enumeration cap this raises EnumerationCapError before expanding
+    anything.
     """
     factors = list(factors)
-    terms_bound = math.comb(n + len(factors), len(factors))
-    if terms_bound > enumeration_cap():
+    entries = math.comb(n + len(factors), len(factors)) * (n + 1)
+    if entries > enumeration_cap():
         raise EnumerationCapError(
-            f"product of {len(factors)} affine forms in {n} variables may have "
-            f"{terms_bound} terms, cap is {enumeration_cap()}"
+            f"product of {len(factors)} affine forms in {n} variables may store "
+            f"{entries} entries, cap is {enumeration_cap()}"
         )
     acc = Polynomial.constant(1, p, n)
     for v, c in factors:

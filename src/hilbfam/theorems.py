@@ -17,6 +17,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from . import hilbert
 from .gflinalg import matmul_mod
 from .hilbert import (
     _eval_rows,
@@ -45,8 +46,6 @@ CLAIM_HRUBES = "HRUBES"
 CLAIM_HLEMMA = "HLEMMA"
 CLAIM_GRID_REMARK = "GRID_REMARK"
 CLAIM_MAIN3 = "MAIN3"
-
-_CHECK_BLOCK = 4096
 
 
 @dataclass
@@ -95,15 +94,17 @@ def _vanishing_witness(
 ) -> dict[str, Any] | None:
     """First (kernel polynomial, point) pair with a nonzero value, or None.
 
-    Scans points in their given order and kernel rows in basis order, so
-    the witness is deterministic.
+    Scans points in their given order, in blocks of the hilbert module's
+    ``_BLOCK_ROWS`` points, and kernel rows in basis order, so the witness
+    is deterministic.
     """
     if kernel.shape[0] == 0:
         return None
     arr = _points_array(points, p)
     kt = kernel.T.copy()
-    for start in range(0, arr.shape[0], _CHECK_BLOCK):
-        block = arr[start : start + _CHECK_BLOCK]
+    step = hilbert._BLOCK_ROWS
+    for start in range(0, arr.shape[0], step):
+        block = arr[start : start + step]
         values = matmul_mod(_eval_rows(block, monomials, p, cap), kt, p)
         hits = np.argwhere(values)
         if hits.size:

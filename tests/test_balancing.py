@@ -271,6 +271,16 @@ class TestCheckLowerBound:
         with pytest.raises(EnumerationCapError):
             witness_poly(inst, 5)
 
+    def test_sixteen_factor_expansion_refused_at_default_cap(self, monkeypatch):
+        # C(26, 16) = 5 311 735 terms fit under 10^7, but their
+        # C(26, 16) * 11 stored entries do not.
+        monkeypatch.delenv(ENUMERATION_CAP_ENV, raising=False)
+        inst = BalancingInstance(family(10, *SIXTEEN_FACTORS), (1, 2))
+        start = time.perf_counter()
+        with pytest.raises(EnumerationCapError):
+            witness_poly(inst, 5)
+        assert time.perf_counter() - start < 1
+
 
 class TestSearch:
     def test_n4_minimum_is_two(self):

@@ -230,3 +230,25 @@ class TestDeterminism:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "c0566e38616694d3a5ccead4b62a630c166c7e8b9649179091e2bae2f1dbb4bd"
         )
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["verify", "all", "--p-max", "5", "--n-max", "11"],
+                "a4187cdf3ea9f5178badf39ff8635324a8046bc45bf33e306ec7b0ff9be87128",
+            ),
+            (
+                ["series", "--n", "12", "--d", "0", "--modq", "4", "--p", "2",
+                 "--format", "csv"],
+                "6b54be751185524975fdd68378297e4d5f9bfedddf8609e42a0438eaf00c2a91",
+            ),
+        ],
+        ids=["verify-all-p5-n11", "series-modq4-p2-csv"],
+    )
+    def test_larger_golden_bytes(self, capsys, argv, digest):
+        # Larger batches and a p=2 series cross the elimination's block
+        # and panel boundaries, which the default batch does not.
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

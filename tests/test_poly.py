@@ -139,11 +139,12 @@ class TestExpandAffineProduct:
         assert expand_affine_product(factors, 3, 2).degree <= 3
 
     def test_term_bound_over_cap_fails_fast(self, monkeypatch):
-        # Three factors in two variables: at most C(5, 3) = 10 terms.
+        # Three factors in two variables: at most C(5, 3) = 10 terms of
+        # two exponents and a coefficient, 30 stored entries.
         factors = [((1, 1), 1), ((1, 0), 2), ((0, 1), 1)]
-        monkeypatch.setenv(ENUMERATION_CAP_ENV, "10")
+        monkeypatch.setenv(ENUMERATION_CAP_ENV, "30")
         assert expand_affine_product(factors, 3, 2).degree == 3
-        monkeypatch.setenv(ENUMERATION_CAP_ENV, "9")
+        monkeypatch.setenv(ENUMERATION_CAP_ENV, "29")
         with pytest.raises(EnumerationCapError):
             expand_affine_product(iter(factors), 3, 2)
 
