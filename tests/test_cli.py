@@ -247,8 +247,8 @@ class TestDeterminism:
         ids=["verify-all-p5-n11", "series-modq4-p2-csv"],
     )
     def test_larger_golden_bytes(self, capsys, argv, digest):
-        # Larger batches and a p=2 series cross the elimination's block
-        # and panel boundaries, which the default batch does not.
+        # Larger inputs than the default batch, and a p=2 series fed to
+        # one reducer degree by degree.
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
