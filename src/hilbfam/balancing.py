@@ -28,6 +28,7 @@ from .setfam import (
     Subset,
     char_vector,
     enumeration_cap,
+    family_points,
     is_prime,
 )
 from .theorems import (
@@ -40,7 +41,9 @@ from .theorems import (
 )
 
 # Entries of one chunk of the candidate x d-subset intersection product.
-_COVER_CHUNK = 1 << 20
+# Each entry takes 12 bytes (float32 product, intp copy); at 1 << 20 the
+# n = 10 searches peaked 2.5 MiB higher, and n = 14 ran no faster.
+_COVER_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -232,6 +235,27 @@ class SearchResult:
         }
 
 
+def _coverage_bitmaps(pool: Sequence[Subset], n: int, targets: Sequence[int]) -> list[int]:
+    """Bit i of a candidate's bitmap: it meets the i-th d-subset of [n], in
+    combinations order, in a size from targets.
+
+    Built in row chunks of one float32 product, exact because every
+    intersection count is at most n.
+    """
+    masks = np.array([g.bitmask for g in pool], dtype=np.int64)
+    cand_pts = ((masks[:, None] >> np.arange(n)) & 1).astype(np.float32)
+    d_cols = family_points(n, n // 2).T.astype(np.float32)
+    in_L = np.zeros(n + 1, dtype=bool)
+    in_L[list(targets)] = True
+    bitmaps: list[int] = []
+    rows = max(1, _COVER_CHUNK // d_cols.shape[1])
+    for lo in range(0, len(pool), rows):
+        hits = in_L[(cand_pts[lo:lo + rows] @ d_cols).astype(np.intp)]
+        packed = np.packbits(hits, axis=1, bitorder="little")
+        bitmaps.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return bitmaps
+
+
 def min_balancing_size(
     n: int,
     L: Sequence[int],
@@ -273,23 +297,7 @@ def min_balancing_size(
             f"{n_d} d-subsets, coverage bitmaps of {len(pool)} candidates in "
             f"{words} 64-bit words; cap is {enumeration_cap()}"
         )
-    d_subsets = list(combinations(range(n), d))
-    # Bit i of a candidate's bitmap: it meets the i-th d-subset, in
-    # combinations order, in a size from L.  Built in row chunks so the
-    # 0/1 product stays small.
-    masks = np.array([g.bitmask for g in pool], dtype=np.int64)
-    cand_pts = ((masks[:, None] >> np.arange(n)) & 1).astype(np.uint8)
-    d_pts = np.zeros((n_d, n), dtype=np.uint8)
-    d_pts[np.arange(n_d)[:, None], d_subsets] = 1
-    in_L = np.zeros(n + 1, dtype=bool)
-    in_L[list(targets)] = True
-    bitmaps: list[int] = []
-    rows = max(1, _COVER_CHUNK // n_d)
-    for lo in range(0, len(pool), rows):
-        hits = in_L[cand_pts[lo:lo + rows] @ d_pts.T]
-        packed = np.packbits(hits, axis=1, bitorder="little")
-        bitmaps.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
-    entries = list(zip(pool, bitmaps))
+    entries = list(zip(pool, _coverage_bitmaps(pool, n, targets)))
     full = (1 << n_d) - 1
     # Branches at the i-th d-subset: the candidates covering it, in pool
     # order, listed the first time the search stops there.

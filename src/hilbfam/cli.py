@@ -22,9 +22,8 @@ from .hilbert import hilbert_series, ideal_truncation_basis, modq_report, unifor
 from .poly import monomials_upto
 from .setfam import (
     EnumerationCapError,
+    family_points,
     is_prime,
-    make_modq_family,
-    make_uniform_family,
     parse_family,
 )
 from .theorems import (
@@ -87,14 +86,6 @@ def _scalar(value: Any) -> str:
     return str(value)
 
 
-def _family_points(args: argparse.Namespace):
-    if args.modq is not None:
-        fam = make_modq_family(args.n, args.d, args.modq, cap=args.cap)
-    else:
-        fam = make_uniform_family(args.n, args.d, cap=args.cap)
-    return fam.points()
-
-
 def cmd_hilbert(args: argparse.Namespace) -> int:
     if args.modq is not None:
         report = modq_report(args.n, args.d, args.modq, args.p, args.m, cap=args.cap)
@@ -105,7 +96,7 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
-    points = _family_points(args)
+    points = family_points(args.n, args.d, args.modq, args.cap)
     series = hilbert_series(points, args.p, 1)
     if args.format == "csv":
         print("m,h")
@@ -125,7 +116,7 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_ideal(args: argparse.Namespace) -> int:
-    points = _family_points(args)
+    points = family_points(args.n, args.d, args.modq, args.cap)
     basis = ideal_truncation_basis(points, args.m, args.p, 1)
     out = {
         "n": args.n,
@@ -149,8 +140,8 @@ def _emit_report(report, args: argparse.Namespace) -> int:
 
 def cmd_verify_main(args: argparse.Namespace) -> int:
     m = args.m if args.m is not None else args.q - 1
-    uniform = make_uniform_family(args.n, args.d, cap=args.cap).points()
-    modq = make_modq_family(args.n, args.d, args.q, cap=args.cap).points()
+    uniform = family_points(args.n, args.d, cap=args.cap)
+    modq = family_points(args.n, args.d, args.q, args.cap)
     report = verify_ideal_truncation_equality(uniform, modq, m, args.p, 1)
     return _emit_report(report, args)
 
@@ -190,8 +181,8 @@ def _batch_reports(p_max: int, n_max: int) -> list:
         while q <= n_max:
             for n in range(1, n_max + 1):
                 for d in range(max(q - 1, 0), n - q + 2):
-                    uniform = make_uniform_family(n, d).points()
-                    modq = make_modq_family(n, d, q).points()
+                    uniform = family_points(n, d)
+                    modq = family_points(n, d, q)
                     reports.append(
                         verify_ideal_truncation_equality(uniform, modq, q - 1, p, 1)
                     )

@@ -26,20 +26,21 @@ import numpy as np
 
 from .gflinalg import RowReducer
 from .poly import Monomial, Point, Polynomial, monomials_upto
-from .setfam import Params, binomial, is_power_of, is_prime
+from .setfam import Params, binomial, family_points, is_power_of, is_prime
 
 _BLOCK_ROWS = 2048
 
 
-def _points_array(points: Sequence[Point], p: int) -> np.ndarray:
-    if not points:
+def _points_array(points: Sequence[Point] | np.ndarray, p: int) -> np.ndarray:
+    try:
+        arr = np.asarray(points, dtype=np.int64)
+    except ValueError as exc:
+        raise ValueError("points have inconsistent dimensions") from exc
+    if arr.ndim != 2 or not arr.shape[0]:
         raise ValueError("need at least one point")
-    n = len(points[0])
-    if n < 1:
+    if not arr.shape[1]:
         raise ValueError("points must have at least one coordinate")
-    if any(len(pt) != n for pt in points):
-        raise ValueError("points have inconsistent dimensions")
-    return np.asarray(points, dtype=np.int64) % p
+    return arr % p
 
 
 def _validate_cap(arr: np.ndarray, p: int, cap: int) -> None:
@@ -99,13 +100,12 @@ def hilbert_value(points: Sequence[Point], m: int, p: int, cap: int) -> int:
 
 def hilbert_series(points: Sequence[Point], p: int, cap: int) -> tuple[int, ...]:
     """Values h(0), h(1), ... up to and including the first m with h(m) = |points|."""
-    pts = tuple(tuple(int(v) % p for v in pt) for pt in points)
-    if len(set(pts)) != len(pts):
+    arr = _points_array(points, p)
+    if len(np.unique(arr, axis=0)) != len(arr):
         raise ValueError("points must be distinct for a Hilbert series")
-    arr = _points_array(pts, p)
     _validate_cap(arr, p, cap)
     n = arr.shape[1]
-    red = RowReducer(p, len(pts))
+    red = RowReducer(p, len(arr))
     values = []
     fed = 0
     for m in range(n * cap + 1):
@@ -114,7 +114,7 @@ def hilbert_series(points: Sequence[Point], p: int, cap: int) -> tuple[int, ...]
             red.add_rows(_eval_rows(arr, monos[start : start + _BLOCK_ROWS], p, cap).T)
         fed = len(monos)
         values.append(red.rank)
-        if red.rank == len(pts):
+        if red.rank == len(arr):
             return tuple(values)
     raise AssertionError("series failed to stabilize below the interpolation degree")
 
@@ -133,15 +133,19 @@ def nested_kernel(
     (as :func:`kernel_matrix`), its monomial columns, and h(G) at m.
 
     One elimination: the rows of the points of G outside F go into F's
-    reducer after its kernel is taken.  G is validated as a whole.
+    reducer after its kernel is taken.  G is validated as a whole, and F
+    must be contained in G.
     """
     arr_g = _points_array(points_g, p)
     _validate_cap(arr_g, p, cap)
-    red, monos = _reduce_points(points_f, m, p, cap)
+    arr_f = _points_array(points_f, p)
+    in_f = set(map(tuple, arr_f.tolist()))
+    g_rows = list(map(tuple, arr_g.tolist()))
+    if not in_f.issubset(g_rows):
+        raise ValueError("the first point set must be contained in the second")
+    red, monos = _reduce_points(arr_f, m, p, cap)
     kernel = red.kernel_matrix()
-    in_f = {tuple(pt) for pt in _points_array(points_f, p).tolist()}
-    outside = [tuple(pt) not in in_f for pt in arr_g.tolist()]
-    _feed_points(red, arr_g[outside], monos, p, cap)
+    _feed_points(red, arr_g[[pt not in in_f for pt in g_rows]], monos, p, cap)
     return kernel, monos, red.rank
 
 
@@ -228,10 +232,8 @@ class HilbertReport:
 def uniform_report(n: int, d: int, p: int, m: int, cap: int | None = None) -> HilbertReport:
     """Report for the complete d-uniform family, with the closed form
     attached whenever m is inside its range."""
-    from .setfam import make_uniform_family
-
     params = Params(n=n, p=p, d=d, m=m)
-    points = make_uniform_family(n, d, cap=cap).points()
+    points = family_points(n, d, cap=cap)
     h = hilbert_value(points, m, p, 1)
     n_monos = len(monomials_upto(n, m, 1))
     closed = binomial(n, m) if m <= min(d, n - d) else None
@@ -240,14 +242,12 @@ def uniform_report(n: int, d: int, p: int, m: int, cap: int | None = None) -> Hi
 
 def modq_report(n: int, d: int, q: int, p: int, m: int, cap: int | None = None) -> HilbertReport:
     """Report for the size-congruent family mod q, q a power of p."""
-    from .setfam import make_modq_family
-
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if not is_power_of(q, p):
         raise ValueError(f"q must be a positive power of p={p}, got {q}")
     params = Params(n=n, p=p, d=d, m=m, q=q)
-    points = make_modq_family(n, d, q, cap=cap).points()
+    points = family_points(n, d, q, cap)
     h = hilbert_value(points, m, p, 1)
     n_monos = len(monomials_upto(n, m, 1))
     return HilbertReport(params, 1, h, modq_value(n, d, q, m), n_monos - h, min(d, n - d))

@@ -98,25 +98,11 @@ class Polynomial:
     def constant(cls, value: int, p: int, n: int) -> "Polynomial":
         return cls.from_terms(p, n, {(0,) * n: value})
 
-    @classmethod
-    def variable(cls, i: int, p: int, n: int) -> "Polynomial":
-        """The polynomial x_i (1-based)."""
-        if not 1 <= i <= n:
-            raise ValueError(f"variable index {i} out of range for n={n}")
-        mono = tuple(1 if j == i - 1 else 0 for j in range(n))
-        return cls(p, n, ((mono, 1),))
-
     @property
     def degree(self) -> int | float:
         if not self.terms:
             return ZERO_DEGREE
         return max(sum(mono) for mono, _ in self.terms)
-
-    def constant_term(self) -> int:
-        for mono, coeff in self.terms:
-            if not any(mono):
-                return coeff
-        return 0
 
     def _check_compatible(self, other: "Polynomial") -> None:
         if self.p != other.p or self.n != other.n:

@@ -2,7 +2,10 @@
 
 Families are kept in a single canonical order (lexicographic on sorted
 member tuples) so that every downstream matrix, kernel basis and report
-is reproducible byte for byte.
+is reproducible byte for byte.  `family_points` is the one enumerator of
+the uniform and mod-q families: it hands the library their 0/1 points as
+one int64 array, and the `make_*_family` constructors wrap the same
+member tuples as `Subset` objects.
 """
 
 from __future__ import annotations
@@ -11,8 +14,10 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator
+
+import numpy as np
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 ENUMERATION_CAP_ENV = "HILBFAM_ENUM_CAP"
@@ -168,31 +173,41 @@ def char_vector(subset: Subset, n: int) -> tuple[int, ...]:
     return tuple(1 if i in inside else 0 for i in range(1, n + 1))
 
 
-def _check_cap(count: int, cap: int | None) -> None:
+def _family_members(n: int, d: int, q: int | None, cap: int | None) -> list[tuple[int, ...]]:
+    """Sorted member tuples of the d-uniform family (q None) or of the
+    family of sizes congruent to d mod q, after checking d, q and the cap."""
+    if not 0 <= d <= n:
+        raise ValueError(f"d must satisfy 0 <= d <= n, got d={d}, n={n}")
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    if q is not None and q < 2:
+        raise ValueError(f"q must be at least 2, got {q}")
+    sizes = (d,) if q is None else range(d % q, n + 1, q)
+    count = sum(math.comb(n, k) for k in sizes)
     limit = enumeration_cap() if cap is None else cap
     if count > limit:
         raise EnumerationCapError(f"family would contain {count} sets, cap is {limit}")
+    return sorted(c for k in sizes for c in combinations(range(1, n + 1), k))
+
+
+def family_points(n: int, d: int, q: int | None = None, cap: int | None = None) -> np.ndarray:
+    """0/1 points of make_uniform_family(n, d) when q is None, else of
+    make_modq_family(n, d, q), in family order: one int64 row per member."""
+    members = _family_members(n, d, q, cap)
+    arr = np.zeros((len(members), n), dtype=np.int64)
+    rows = np.repeat(np.arange(len(members)), [len(c) for c in members])
+    arr[rows, np.fromiter(chain.from_iterable(members), np.intp, len(rows)) - 1] = 1
+    return arr
 
 
 def make_uniform_family(n: int, d: int, cap: int | None = None) -> SetFamily:
     """All d-element subsets of [n]."""
-    if not 0 <= d <= n:
-        raise ValueError(f"d must satisfy 0 <= d <= n, got d={d}, n={n}")
-    _check_cap(math.comb(n, d), cap)
-    sets = tuple(Subset(c) for c in combinations(range(1, n + 1), d))
-    return SetFamily(n, sets)
+    return SetFamily(n, tuple(map(Subset, _family_members(n, d, None, cap))))
 
 
 def make_modq_family(n: int, d: int, q: int, cap: int | None = None) -> SetFamily:
     """All subsets of [n] whose size is congruent to d modulo q."""
-    if not 0 <= d <= n:
-        raise ValueError(f"d must satisfy 0 <= d <= n, got d={d}, n={n}")
-    if q < 2:
-        raise ValueError(f"q must be at least 2, got {q}")
-    sizes = range(d % q, n + 1, q)
-    _check_cap(sum(math.comb(n, k) for k in sizes), cap)
-    sets = [Subset(c) for k in sizes for c in combinations(range(1, n + 1), k)]
-    return SetFamily(n, tuple(sets))
+    return SetFamily(n, tuple(map(Subset, _family_members(n, d, q, cap))))
 
 
 def format_family(family: SetFamily) -> str:

@@ -369,6 +369,17 @@ class TestSearch:
         monkeypatch.setattr(balancing, "_COVER_CHUNK", chunk)
         assert [min_balancing_size(8, L, limit).as_dict() for L, limit in cases] == expected
 
+    @pytest.mark.parametrize("L", [(1,), (2,), (1, 3), (1, 2, 3)])
+    def test_coverage_bitmaps_match_popcount(self, L):
+        n = 8
+        pool = sorted(Subset(c) for k in range(1, n) for c in combinations(range(1, n + 1), k))
+        d_masks = [sum(1 << i for i in c) for c in combinations(range(n), n // 2)]
+        expected = [
+            sum(1 << i for i, dm in enumerate(d_masks) if bin(g.bitmask & dm).count("1") in L)
+            for g in pool
+        ]
+        assert balancing._coverage_bitmaps(pool, n, L) == expected
+
     def test_found_families_satisfy_bound(self):
         for L in [(1,), (2,), (1, 2)]:
             res = min_balancing_size(6, L, 3)

@@ -17,6 +17,7 @@ from hilbfam.hilbert import (
     hilbert_series,
     hilbert_value,
     ideal_truncation_basis,
+    kernel_matrix,
     modq_report,
     modq_value,
     uniform_report,
@@ -215,6 +216,43 @@ class TestSeriesOneElimination:
             hilbert_series([(0, 2)], 3, 1)
         with pytest.raises(ValueError, match="exponent cap"):
             hilbert_series([(0, 1)], 5, 2)
+
+
+class TestArrayInput:
+    """Points given as one int64 array answer as the same points as tuples."""
+
+    @staticmethod
+    def check(points, p, cap, m):
+        arr = np.array(points, dtype=np.int64)
+        assert hilbert_value(arr, m, p, cap) == hilbert_value(points, m, p, cap)
+        kernel, monos = kernel_matrix(arr, m, p, cap)
+        want_kernel, want_monos = kernel_matrix(points, m, p, cap)
+        assert monos == want_monos
+        assert np.array_equal(kernel, want_kernel)
+        assert hilbert_series(arr, p, cap) == hilbert_series(points, p, cap)
+
+    @given(binary_point_sets(), st.sampled_from([2, 3, 5]), st.integers(0, 4))
+    def test_binary_points(self, points, p, m):
+        self.check(points, p, 1, m)
+
+    @settings(max_examples=30)
+    @given(grid_point_sets(), st.integers(0, 3))
+    def test_grid_points(self, case, m):
+        p, points = case
+        self.check(points, p, p - 1, m)
+
+    def test_shapes_rejected(self):
+        for bad in (np.array([0, 1, 1]), np.zeros(0, dtype=np.int64), np.zeros((0, 3), dtype=np.int64)):
+            with pytest.raises(ValueError, match="need at least one point"):
+                hilbert_value(bad, 1, 2, 1)
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            hilbert_value(np.zeros((2, 0), dtype=np.int64), 1, 2, 1)
+
+    def test_series_rejects_rows_equal_mod_p(self):
+        with pytest.raises(ValueError, match="distinct"):
+            hilbert_series(np.array([[0, 1], [1, 0], [0, 1]]), 2, 1)
+        with pytest.raises(ValueError, match="distinct"):
+            hilbert_series([(0, 1), (0, 4)], 3, 2)
 
 
 class TestIdealTruncationBasis:

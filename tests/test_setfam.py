@@ -1,7 +1,9 @@
 """Set-family constructors, characteristic vectors, text format."""
 
+import time
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from hilbfam.setfam import (
     Subset,
     binomial,
     char_vector,
+    family_points,
     format_family,
     is_prime,
     make_modq_family,
@@ -82,6 +85,52 @@ class TestConstructors:
 
     def test_deterministic_enumeration(self):
         assert make_modq_family(6, 1, 3) == make_modq_family(6, 1, 3)
+
+
+class TestFamilyPoints:
+    """The array enumerator against the Subset-based adapters."""
+
+    @staticmethod
+    def constructed(n, d, q):
+        return make_uniform_family(n, d) if q is None else make_modq_family(n, d, q)
+
+    def test_matches_constructor_points(self):
+        for n in range(1, 9):
+            for d in range(n + 1):
+                for q in (None, 2, 3, 4, 5):
+                    pts = family_points(n, d, q)
+                    expected = np.array(self.constructed(n, d, q).points())
+                    assert pts.dtype == np.int64
+                    assert np.array_equal(pts, expected), (n, d, q)
+
+    def test_modq_rows_in_lexicographic_member_order(self):
+        # Sizes 0, 2 and 4 interleave: (), {1,2}, {1,2,3,4}, {1,3}, ...
+        members = [(), (1, 2), (1, 2, 3, 4), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+        expected = [[int(i in ms) for i in range(1, 5)] for ms in members]
+        assert family_points(4, 0, 2).tolist() == expected
+
+    @pytest.mark.parametrize("n,d,q", [
+        (4, 5, None), (4, -1, None), (4, 5, 2), (4, 2, 1), (4, 2, 0), (0, 0, None), (0, 0, 2),
+    ])
+    def test_bad_arguments_raise_constructor_errors(self, n, d, q):
+        with pytest.raises(ValueError) as want:
+            self.constructed(n, d, q)
+        with pytest.raises(ValueError) as got:
+            family_points(n, d, q)
+        assert str(got.value) == str(want.value)
+
+    def test_cap(self):
+        with pytest.raises(EnumerationCapError, match="cap is 10"):
+            family_points(6, 3, cap=10)
+        with pytest.raises(EnumerationCapError, match="cap is 100"):
+            family_points(20, 0, 2, cap=100)
+        assert family_points(6, 3, cap=20).shape == (20, 6)
+
+    def test_cap_checked_before_enumeration(self):
+        start = time.perf_counter()
+        with pytest.raises(EnumerationCapError):
+            family_points(40, 20)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestCharVector:

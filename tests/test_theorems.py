@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hilbfam import hilbert
-from hilbfam.hilbert import hilbert_value, modq_value, wilson_value
+from hilbfam.hilbert import hilbert_value, modq_value, nested_kernel, wilson_value
 from hilbfam.setfam import EnumerationCapError, make_modq_family, make_uniform_family
 from hilbfam.theorems import (
     FAIL,
@@ -94,6 +94,14 @@ class TestNestedOneElimination:
         with small_blocks(), pytest.raises(ValueError, match="contained"):
             verify_ideal_truncation_equality([(1, 0)], [(0, 1)], 1, 2, 1)
 
+    def test_containment_checked_mod_p_by_nested_kernel(self):
+        with pytest.raises(ValueError, match="contained"):
+            nested_kernel(np.array([[1, 0]]), np.array([[0, 1], [0, 0]]), 1, 2, 1)
+        with pytest.raises(ValueError, match="contained"):
+            nested_kernel([(1, 0, 0)], [(1, 0)], 1, 2, 1)
+        _, _, h_g = nested_kernel([(3, 1)], [(0, 1), (1, 1)], 1, 3, 2)
+        assert h_g == 2
+
     def test_g_validated_as_a_whole(self):
         with pytest.raises(ValueError, match="inconsistent dimensions"):
             verify_ideal_truncation_equality([(0, 1)], [(0, 1), (1,)], 1, 2, 1)
@@ -107,6 +115,15 @@ class TestNestedOneElimination:
         g = rng.sample(cube, rng.randrange(1, len(cube) + 1))
         f = rng.sample(g, rng.randrange(1, len(g) + 1))
         self.check(f, g + f[:2], m, p)
+
+    @given(st.integers(1, 5), st.sampled_from([2, 3, 5]), st.integers(0, 4),
+           st.randoms(use_true_random=False))
+    def test_array_input_matches_tuples(self, n, p, m, rng):
+        cube = list(product((0, 1), repeat=n))
+        g = rng.sample(cube, rng.randrange(1, len(cube) + 1))
+        f = rng.sample(g, rng.randrange(1, len(g) + 1))
+        want = verify_ideal_truncation_equality(f, g, m, p, 1).as_dict()
+        assert verify_ideal_truncation_equality(np.array(f), np.array(g), m, p, 1).as_dict() == want
 
     def test_grid_remark_h_g(self):
         grid = GridInstance(5, 2, ((0, 1, 3), (2, 4)), (3, 4))
