@@ -209,22 +209,23 @@ class RowReducer:
     def _eliminate_panel(self, panel: np.ndarray) -> tuple[np.ndarray, list[int]]:
         """Gauss-Jordan a panel in place with leftmost pivots; return its
         nonzero RREF rows and their pivot columns in the order found."""
-        p = self.p
         found: list[int] = []
         pivots: list[int] = []
-        for i in range(panel.shape[0]):
-            nz = np.flatnonzero(panel[i])
+        for i in panel.any(axis=1).nonzero()[0].tolist():
+            nz = panel[i].nonzero()[0]
             if not nz.size:
                 continue
             # Row i is zero left of its pivot j, so only columns j.. change.
             j = int(nz[0])
-            row = (panel[i, j:] * pow(int(panel[i, j]), -1, p)) % p
-            panel[i, j:] = row
-            col = panel[:, j].copy()
-            col[i] = 0
-            hit = np.flatnonzero(col)
-            if hit.size:
-                panel[hit, j:] = (panel[hit, j:] - np.outer(col[hit], row)) % p
+            row = panel[i, j:]
+            if row[0] != 1:
+                np.remainder(row * pow(int(row[0]), -1, self.p), self.p, out=row)
+            hit = panel[:, j].nonzero()[0]
+            if hit.size > 1:
+                hit = hit[hit != i]
+                sub = panel[hit, j:]
+                sub -= sub[:, :1] * row
+                panel[hit, j:] = sub % self.p
             found.append(i)
             pivots.append(j)
         return panel[found], pivots

@@ -4,9 +4,10 @@ The value h(m) is the rank of the evaluation matrix whose rows are
 points and whose columns are the reduced monomials of degree at most m
 (exponent cap 1 for 0/1 point sets, p-1 in general; both caps preserve
 values pointwise, so the reduced columns span the full degree-<= m
-function space).  Every question is one elimination, streamed through
-the incremental reducer in blocks of ``_BLOCK_ROWS`` rows so the matrix
-is never materialized:
+function space).  Its rows are whole-array products over the monomials'
+exponent matrix (see :func:`_eval_rows`).  Every question is one
+elimination, streamed through the incremental reducer in blocks of
+``_BLOCK_ROWS`` rows so the matrix is never materialized:
 
 - a value or kernel feeds the point rows of the evaluation matrix;
 - a whole series feeds the transposed matrix, monomial rows over point
@@ -33,9 +34,13 @@ _BLOCK_ROWS = 2048
 
 def _points_array(points: Sequence[Point] | np.ndarray, p: int) -> np.ndarray:
     try:
-        arr = np.asarray(points, dtype=np.int64)
+        raw = np.asarray(points)
+        with np.errstate(invalid="ignore"):
+            arr = raw.astype(np.int64, copy=False)
     except ValueError as exc:
         raise ValueError("points have inconsistent dimensions") from exc
+    if arr is not raw and not np.array_equal(arr, raw):
+        raise ValueError("point coordinates must be integers")
     if arr.ndim != 2 or not arr.shape[0]:
         raise ValueError("need at least one point")
     if not arr.shape[1]:
@@ -51,30 +56,24 @@ def _validate_cap(arr: np.ndarray, p: int, cap: int) -> None:
 
 
 def _eval_rows(arr: np.ndarray, monomials: Sequence[Monomial], p: int, cap: int) -> np.ndarray:
-    """Evaluate every monomial at every point of a row block."""
+    """Evaluate every monomial at every point of a row block.
+
+    At cap 1, one float64 product counts the monomial's variables that are
+    0 at the point (exact: counts are at most n); the value is count == 0.
+    At cap p-1, one gather-multiply mod p per variable."""
     rows, n = arr.shape
-    out = np.empty((rows, len(monomials)), dtype=np.int64)
-    if cap == 1 and n <= 62:
-        # 0/1 points: monomial value is 1 iff its support lies inside
-        # the point's support, a subset test on packed masks.
-        weights = (1 << np.arange(n)).astype(np.int64)
-        masks = arr @ weights
-        for j, mono in enumerate(monomials):
-            mm = int(sum(w for w, e in zip(weights, mono) if e))
-            out[:, j] = (masks & mm) == mm
-        return out
-    # powers[e] = arr^e mod p, only up to the largest exponent in use.
-    # Exact in int64: callers build a RowReducer over F_p first, which
-    # refuses (p-1)^2 >= 2^62.
-    powers = [np.ones_like(arr)]
-    for _ in range(max((max(mono) for mono in monomials), default=0)):
-        powers.append(powers[-1] * arr % p)
-    for j, mono in enumerate(monomials):
-        col = np.ones(rows, dtype=np.int64)
-        for i, e in enumerate(mono):
-            if e:
-                col = (col * powers[e][:, i]) % p
-        out[:, j] = col
+    exps = np.array(monomials, dtype=np.int64).reshape(len(monomials), n)
+    if cap == 1:
+        return ((1 - arr).astype(np.float64) @ exps.T.astype(np.float64) == 0).astype(np.int64)
+    # powers[:, i, e] = arr[:, i]^e mod p up to the largest exponent in use;
+    # exact in int64, as callers' RowReducer refuses (p-1)^2 >= 2^62.
+    powers = np.ones((rows, n, int(exps.max(initial=0)) + 1), dtype=np.int64)
+    for e in range(1, powers.shape[2]):
+        powers[:, :, e] = powers[:, :, e - 1] * arr % p
+    out = np.ones((rows, len(monomials)), dtype=np.int64)
+    for i in range(n):
+        out *= np.take(powers[:, i], exps[:, i], axis=1)
+        out %= p
     return out
 
 

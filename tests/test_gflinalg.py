@@ -264,6 +264,62 @@ class TestMultiPanel:
         assert hilbert_value(points, 4, 5, 1) == binomial(12, 4) == 495
 
 
+def check_panel(panel, p):
+    """`_eliminate_panel` against the oracle RREF of the same rows."""
+    expected, expected_piv = oracle_rref(panel.tolist(), p)
+    rows, pivots = RowReducer(p, panel.shape[1])._eliminate_panel(panel.copy())
+    assert rows.shape == (len(pivots), panel.shape[1])
+    # Rows come back in the order their pivots were found.
+    order = np.argsort(pivots)
+    assert tuple(np.asarray(pivots)[order].tolist()) == expected_piv
+    assert rows[order].tolist() == expected[: len(expected_piv)]
+
+
+def panel_matrix(p, seed, rows=_PANEL, cols=48):
+    """A full panel of rank well below its row count, with rows zero on
+    entry, rows scaled so their leads are not 1, and repeated rows."""
+    rng = np.random.default_rng(seed)
+    rank = rows // 4
+    data = (rng.integers(0, p, (rows, rank)) @ rng.integers(0, p, (rank, cols))) % p
+    data[rng.choice(rows, rows // 8, replace=False)] = 0
+    data[1::5] = (data[1::5] * rng.integers(1, p, (len(data[1::5]), 1))) % p
+    data[2::7] = data[0]
+    return data
+
+
+class TestEliminatePanel:
+    """The panel's Gauss-Jordan step on its own, against the oracle."""
+
+    @pytest.mark.parametrize("p", [2, 3, 101])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_low_rank_panels(self, p, seed):
+        panel = panel_matrix(p, seed)
+        assert not panel.any(axis=1).all()
+        check_panel(panel, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 101])
+    def test_full_rank_panel(self, p):
+        check_panel(np.random.default_rng(p).integers(0, p, (_PANEL, _PANEL + 5)), p)
+
+    def test_zero_rows_cancelled_rows_and_leads(self):
+        # Row 0 is zero on entry, row 1 leads with 2 (not a unit lead),
+        # row 2 is 2 * row 1 and cancels, row 3 leads with 1.
+        panel = np.array([[0, 0, 0, 0], [2, 1, 0, 1], [1, 2, 0, 2], [0, 1, 1, 0]])
+        check_panel(panel, 3)
+        rows, pivots = RowReducer(3, 4)._eliminate_panel(panel.copy())
+        assert pivots == [0, 1]
+        assert rows.tolist() == [[1, 0, 1, 2], [0, 1, 1, 0]]
+
+    @pytest.mark.parametrize("p", [2, 3, 101])
+    def test_all_zero_panel(self, p):
+        rows, pivots = RowReducer(p, 5)._eliminate_panel(np.zeros((3, 5), dtype=np.int64))
+        assert pivots == [] and rows.shape == (0, 5)
+
+    @given(fp_matrices(max_rows=_PANEL, max_cols=12))
+    def test_random_panels(self, m):
+        check_panel(np.array(m.data), m.p)
+
+
 class TestMatmulMod:
     @given(fp_matrices(max_rows=5, max_cols=5), st.integers(1, 4))
     def test_matches_integer_product(self, m, k):

@@ -25,6 +25,7 @@ from hilbfam.hilbert import (
 )
 from hilbfam.poly import Polynomial, evaluate, monomials_upto
 from hilbfam.setfam import binomial, make_modq_family, make_uniform_family
+from hilbfam.theorems import verify_ideal_truncation_equality
 
 
 def oracle_rank(rows, p):
@@ -110,6 +111,43 @@ class TestEvaluationMatrix:
             for pt in points
         ]
         assert data.tolist() == expected
+
+
+def pow_reference(points, monos, p):
+    """Each monomial evaluated by Python's pow, one point at a time."""
+    return [[math.prod(pow(x, e, p) for x, e in zip(pt, mono)) % p for mono in monos] for pt in points]
+
+
+class TestCapOneProduct:
+    """The cap-1 path evaluates by one product over the exponent matrix;
+    it must match term-by-term evaluation at any number of variables."""
+
+    @staticmethod
+    def check(points, m, p):
+        data, monos = eval_rows(points, m, p, 1)
+        assert data.dtype == np.int64
+        assert data.tolist() == pow_reference(points, monos, p)
+        # A block of one row answers as that row of the full block.
+        one, _ = eval_rows(points[:1], m, p, 1)
+        assert one.tolist() == data[:1].tolist()
+
+    @given(st.integers(1, 8), st.integers(0, 4), st.integers(1, 6), st.sampled_from([2, 3, 5]),
+           st.randoms(use_true_random=False))
+    def test_matches_pow(self, n, m, rows, p, rng):
+        points = [tuple(rng.randrange(2) for _ in range(n)) for _ in range(rows)]
+        self.check(points, m, p)
+
+    @settings(max_examples=8)
+    @given(st.sampled_from([63, 64]), st.integers(0, 2), st.integers(1, 3),
+           st.randoms(use_true_random=False))
+    def test_past_62_variables(self, n, m, rows, rng):
+        points = [tuple(rng.randrange(2) for _ in range(n)) for _ in range(rows)]
+        self.check(points, m, 2)
+
+    def test_all_ones_and_all_zeros_at_64_variables(self):
+        data, monos = eval_rows([(1,) * 64, (0,) * 64], 2, 3, 1)
+        assert data[0].tolist() == [1] * len(monos)
+        assert data[1].tolist() == [1] + [0] * (len(monos) - 1)
 
 
 class TestHilbertValue:
@@ -253,6 +291,47 @@ class TestArrayInput:
             hilbert_series(np.array([[0, 1], [1, 0], [0, 1]]), 2, 1)
         with pytest.raises(ValueError, match="distinct"):
             hilbert_series([(0, 1), (0, 4)], 3, 2)
+
+
+class TestNonIntegerPoints:
+    """Coordinates must be integer values; integral floats and bools are
+    the same points as their ints, anything else is refused."""
+
+    BAD = ([(0.5, 1), (1, 0)], np.array([[0.0, 1.0], [1.0, 0.25]]), [(0, 1), (1, float("nan"))])
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_rejected_everywhere(self, bad):
+        good = [(0, 1), (1, 0)]
+        with pytest.raises(ValueError, match="integers"):
+            hilbert_value(bad, 1, 2, 1)
+        with pytest.raises(ValueError, match="integers"):
+            kernel_matrix(bad, 1, 2, 1)
+        with pytest.raises(ValueError, match="integers"):
+            hilbert_series(bad, 2, 1)
+        with pytest.raises(ValueError, match="integers"):
+            verify_ideal_truncation_equality(bad, good, 1, 2, 1)
+        with pytest.raises(ValueError, match="integers"):
+            verify_ideal_truncation_equality(good[:1], bad, 1, 2, 1)
+
+    @pytest.mark.parametrize("same", [
+        [(0.0, 1.0), (1.0, 0.0)],
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+        np.array([[False, True], [True, False]]),
+        np.array([[0, 1], [1, 0]], dtype=np.int8),
+    ])
+    def test_integer_values_accepted(self, same):
+        ints = [(0, 1), (1, 0)]
+        assert hilbert_value(same, 1, 2, 1) == hilbert_value(ints, 1, 2, 1) == 2
+        kernel, monos = kernel_matrix(same, 1, 3, 1)
+        want_kernel, want_monos = kernel_matrix(ints, 1, 3, 1)
+        assert monos == want_monos
+        assert np.array_equal(kernel, want_kernel)
+        assert hilbert_series(same, 2, 1) == hilbert_series(ints, 2, 1)
+        rep = verify_ideal_truncation_equality(same[:1], same, 1, 2, 1)
+        assert rep.metrics == verify_ideal_truncation_equality(ints[:1], ints, 1, 2, 1).metrics
+
+    def test_integral_floats_at_cap_p_minus_1(self):
+        assert hilbert_value([(2.0, 4.0), (3.0, 1.0)], 2, 5, 4) == hilbert_value([(2, 4), (3, 1)], 2, 5, 4)
 
 
 class TestIdealTruncationBasis:
