@@ -59,6 +59,7 @@ from .theorems import (
     verify_hrubes,
     verify_ideal_truncation_equality,
     verify_main2,
+    verify_main_pair,
 )
 
 __version__ = "0.1.0"
@@ -108,6 +109,7 @@ __all__ = [
     "verify_hrubes",
     "verify_ideal_truncation_equality",
     "verify_main2",
+    "verify_main_pair",
     "wilson_value",
     "witness_poly",
 ]

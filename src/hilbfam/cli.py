@@ -34,6 +34,7 @@ from .theorems import (
     verify_hrubes,
     verify_ideal_truncation_equality,
     verify_main2,
+    verify_main_pair,
 )
 
 EXIT_OK = 0
@@ -181,12 +182,7 @@ def _batch_reports(p_max: int, n_max: int) -> list:
         while q <= n_max:
             for n in range(1, n_max + 1):
                 for d in range(max(q - 1, 0), n - q + 2):
-                    uniform = family_points(n, d)
-                    modq = family_points(n, d, q)
-                    reports.append(
-                        verify_ideal_truncation_equality(uniform, modq, q - 1, p, 1)
-                    )
-                    reports.append(verify_main2(n, d, q, p))
+                    reports.extend(verify_main_pair(n, d, q, p))
             q *= p
     for p in primes:
         if p > 3:

@@ -117,6 +117,35 @@ def _vanishing_witness(
     return None
 
 
+def _main_report(
+    sizes: tuple[int, int], m: int, p: int, cap: int, kernel: np.ndarray,
+    monos: Sequence[tuple[int, ...]], h_g: int, witness: dict[str, Any] | None, wall_ms: float,
+) -> VerificationReport:
+    """MAIN's report for |F|, |G| = sizes; the witness is dropped when h_f != h_g."""
+    n_f, n_g = sizes
+    params = {"m": m, "p": p, "cap": cap, "points_f": n_f, "points_g": n_g,
+              "point_interpretation": "finite point subsets of F_p^n"}
+    h_f = len(monos) - kernel.shape[0]
+    metrics = {
+        "h_f": int(h_f),
+        "h_g": int(h_g),
+        "monomials": len(monos),
+        "ideal_dim_f": int(kernel.shape[0]),
+        "ideal_dim_g": len(monos) - int(h_g),
+        "matrix_shape_f": [n_f, len(monos)],
+        "matrix_shape_g": [n_g, len(monos)],
+    }
+    if h_f != h_g:
+        return VerificationReport(
+            CLAIM_MAIN, params, NOT_APPLICABLE,
+            metrics={**metrics, "reason": "hilbert values differ"},
+            wall_time_ms=wall_ms,
+        )
+    metrics["ideal_dims_equal"] = metrics["ideal_dim_f"] == metrics["ideal_dim_g"]
+    status = PASS if witness is None else FAIL
+    return VerificationReport(CLAIM_MAIN, params, status, witness, metrics, wall_ms)
+
+
 def verify_ideal_truncation_equality(
     points_f: Sequence[Point],
     points_g: Sequence[Point],
@@ -132,34 +161,41 @@ def verify_ideal_truncation_equality(
     """
     start = time.perf_counter()
     kernel, monos, h_g = nested_kernel(points_f, points_g, m, p, cap)
-    params = {
-        "m": m,
-        "p": p,
-        "cap": cap,
-        "points_f": len(points_f),
-        "points_g": len(points_g),
-        "point_interpretation": "finite point subsets of F_p^n",
-    }
-    h_f = len(monos) - kernel.shape[0]
+    witness = None
+    if len(monos) - kernel.shape[0] == h_g:
+        witness = _vanishing_witness(kernel, monos, points_g, p, cap)
+    sizes = (len(points_f), len(points_g))
+    return _main_report(sizes, m, p, cap, kernel, monos, h_g, witness, _elapsed_ms(start))
+
+
+def _main2_params(n: int, d: int, q: int, p: int) -> dict[str, Any]:
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    if not is_power_of(q, p):
+        raise ValueError(f"q must be a positive power of p={p}, got {q}")
+    if not 0 <= d <= n:
+        raise ValueError(f"d must satisfy 0 <= d <= n, got d={d}, n={n}")
+    in_range = q - 1 <= d <= n - q + 1
+    return {"n": n, "d": d, "q": q, "p": p, "degree_bound": q - 1, "in_range": in_range}
+
+
+def _main2_report(
+    params: dict[str, Any], sizes: tuple[int, int], kernel: np.ndarray,
+    monos: Sequence[tuple[int, ...]], witness: dict[str, Any] | None, wall_ms: float,
+) -> VerificationReport:
+    """MAIN2's report for |uniform|, |mod-q| = sizes."""
     metrics = {
-        "h_f": int(h_f),
-        "h_g": int(h_g),
+        "h_uniform": len(monos) - int(kernel.shape[0]),
+        "kernel_dim": int(kernel.shape[0]),
         "monomials": len(monos),
-        "ideal_dim_f": int(kernel.shape[0]),
-        "ideal_dim_g": len(monos) - int(h_g),
-        "matrix_shape_f": [len(points_f), len(monos)],
-        "matrix_shape_g": [len(points_g), len(monos)],
+        "points_uniform": sizes[0],
+        "points_modq": sizes[1],
     }
-    if h_f != h_g:
-        return VerificationReport(
-            CLAIM_MAIN, params, NOT_APPLICABLE,
-            metrics={**metrics, "reason": "hilbert values differ"},
-            wall_time_ms=_elapsed_ms(start),
-        )
-    witness = _vanishing_witness(kernel, monos, points_g, p, cap)
-    metrics["ideal_dims_equal"] = metrics["ideal_dim_f"] == metrics["ideal_dim_g"]
     status = PASS if witness is None else FAIL
-    return VerificationReport(CLAIM_MAIN, params, status, witness, metrics, _elapsed_ms(start))
+    if not params["in_range"]:
+        metrics["vanishes_outside_range"] = witness is None
+        status = NOT_APPLICABLE
+    return VerificationReport(CLAIM_MAIN2, params, status, witness, metrics, wall_ms)
 
 
 def verify_main2(n: int, d: int, q: int, p: int, force: bool = False) -> VerificationReport:
@@ -172,15 +208,8 @@ def verify_main2(n: int, d: int, q: int, p: int, force: bool = False) -> Verific
     outcome.
     """
     start = time.perf_counter()
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if not is_power_of(q, p):
-        raise ValueError(f"q must be a positive power of p={p}, got {q}")
-    if not 0 <= d <= n:
-        raise ValueError(f"d must satisfy 0 <= d <= n, got d={d}, n={n}")
-    in_range = q - 1 <= d <= n - q + 1
-    params = {"n": n, "d": d, "q": q, "p": p, "degree_bound": q - 1, "in_range": in_range}
-    if not in_range and not force:
+    params = _main2_params(n, d, q, p)
+    if not params["in_range"] and not force:
         return VerificationReport(
             CLAIM_MAIN2, params, NOT_APPLICABLE,
             metrics={"reason": "d outside q-1..n-q+1"},
@@ -190,20 +219,30 @@ def verify_main2(n: int, d: int, q: int, p: int, force: bool = False) -> Verific
     modq = family_points(n, d, q)
     kernel, monos = kernel_matrix(uniform, q - 1, p, 1)
     witness = _vanishing_witness(kernel, monos, modq, p, 1)
-    metrics = {
-        "h_uniform": len(monos) - int(kernel.shape[0]),
-        "kernel_dim": int(kernel.shape[0]),
-        "monomials": len(monos),
-        "points_uniform": len(uniform),
-        "points_modq": len(modq),
-    }
-    if not in_range:
-        metrics["vanishes_outside_range"] = witness is None
-        return VerificationReport(
-            CLAIM_MAIN2, params, NOT_APPLICABLE, witness, metrics, _elapsed_ms(start)
-        )
-    status = PASS if witness is None else FAIL
-    return VerificationReport(CLAIM_MAIN2, params, status, witness, metrics, _elapsed_ms(start))
+    sizes = (len(uniform), len(modq))
+    return _main2_report(params, sizes, kernel, monos, witness, _elapsed_ms(start))
+
+
+def verify_main_pair(n: int, d: int, q: int, p: int) -> tuple[VerificationReport, VerificationReport]:
+    """The MAIN report at m = q-1 for the d-uniform family of [n] inside its
+    mod-q family, and the MAIN2 report, from one shared computation.
+
+    Equal to ``verify_ideal_truncation_equality`` and ``verify_main2`` with
+    force=True on the same inputs, but with one nested elimination and one
+    witness scan of the mod-q points; both reports carry the pair's wall time.
+    """
+    start = time.perf_counter()
+    params = _main2_params(n, d, q, p)
+    uniform = family_points(n, d)
+    modq = family_points(n, d, q)
+    kernel, monos, h_g = nested_kernel(uniform, modq, q - 1, p, 1)
+    witness = _vanishing_witness(kernel, monos, modq, p, 1)
+    sizes = (len(uniform), len(modq))
+    wall_ms = _elapsed_ms(start)
+    return (
+        _main_report(sizes, q - 1, p, 1, kernel, monos, h_g, witness, wall_ms),
+        _main2_report(params, sizes, kernel, monos, witness, wall_ms),
+    )
 
 
 def verify_hrubes(p: int) -> VerificationReport:

@@ -6,9 +6,12 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
+from unittest import mock
 
 import pytest
 
+from hilbfam import cli, theorems
 from hilbfam.balancing import BalancingInstance, check_lower_bound, min_balancing_size
 from hilbfam.cli import main
 from hilbfam.hilbert import hilbert_series, modq_report
@@ -252,3 +255,38 @@ class TestDeterminism:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestVerifyAllSharing:
+    """`verify all` answers each MAIN/MAIN2 pair from one computation."""
+
+    def test_one_elimination_per_pair(self):
+        nested = mock.Mock(wraps=theorems.nested_kernel)
+        plain = mock.Mock(wraps=theorems.kernel_matrix)
+        with mock.patch.object(theorems, "nested_kernel", nested), \
+                mock.patch.object(theorems, "kernel_matrix", plain):
+            reports = cli._batch_reports(3, 8)
+        claims = Counter(r.claim for r in reports)
+        assert claims["MAIN"] == claims["MAIN2"] > 0
+        # GRID_REMARK is the only other nested user; only HRUBES and HLEMMA
+        # eliminate with kernel_matrix, so none is left for MAIN2.
+        assert nested.call_count == claims["MAIN"] + claims["GRID_REMARK"]
+        assert plain.call_count == claims["HRUBES"] + claims["HLEMMA"]
+        order = [r.claim for r in reports if r.claim in ("MAIN", "MAIN2")]
+        assert order == ["MAIN", "MAIN2"] * claims["MAIN"]
+
+    def test_timing_adds_only_wall_time(self, capsys):
+        argv = ["verify", "all", "--p-max", "3", "--n-max", "6"]
+        code, out, _ = run_cli(capsys, *argv)
+        timed_code, timed_out, _ = run_cli(capsys, *argv, "--timing")
+        assert code == timed_code == 0
+        timed = json.loads(timed_out)
+        assert all("wall_time_ms" in r for r in timed["reports"])
+        # The two reports of a MAIN/MAIN2 pair share the pair's wall time.
+        reports = timed["reports"]
+        pairs = [(a, b) for a, b in zip(reports, reports[1:]) if a["claim"] == "MAIN"]
+        assert pairs and all(b["claim"] == "MAIN2" for a, b in pairs)
+        assert all(a["wall_time_ms"] == b["wall_time_ms"] for a, b in pairs)
+        for r in reports:
+            del r["wall_time_ms"]
+        assert timed == json.loads(out)

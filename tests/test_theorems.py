@@ -9,9 +9,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hilbfam import hilbert
+from hilbfam import hilbert, theorems
 from hilbfam.hilbert import hilbert_value, modq_value, nested_kernel, wilson_value
-from hilbfam.setfam import EnumerationCapError, make_modq_family, make_uniform_family
+from hilbfam.setfam import (
+    EnumerationCapError,
+    family_points,
+    make_modq_family,
+    make_uniform_family,
+)
 from hilbfam.theorems import (
     FAIL,
     NOT_APPLICABLE,
@@ -23,6 +28,7 @@ from hilbfam.theorems import (
     verify_hrubes,
     verify_ideal_truncation_equality,
     verify_main2,
+    verify_main_pair,
 )
 
 
@@ -166,6 +172,76 @@ class TestMain2:
             for n in range(1, 7):
                 for d in range(q - 1, n - q + 2):
                     assert verify_main2(n, d, q, p).status == PASS
+
+
+def in_range_cases(p_max, n_max):
+    for p in (2, 3, 5):
+        if p > p_max:
+            continue
+        q = p
+        while q <= n_max:
+            for n in range(1, n_max + 1):
+                for d in range(q - 1, n - q + 2):
+                    yield n, d, q, p
+            q *= p
+
+
+class TestMainPair:
+    """One elimination and one scan must give both standalone reports."""
+
+    def test_matches_standalone_drivers(self):
+        cases = list(in_range_cases(5, 9))
+        assert len(cases) == 70
+        for n, d, q, p in cases:
+            main, main2 = verify_main_pair(n, d, q, p)
+            want = verify_ideal_truncation_equality(
+                family_points(n, d), family_points(n, d, q), q - 1, p, 1
+            )
+            assert main.as_dict() == want.as_dict(), (n, d, q, p)
+            assert main2.as_dict() == verify_main2(n, d, q, p).as_dict(), (n, d, q, p)
+
+    @pytest.mark.parametrize("n, d, q, p", [(4, 1, 4, 2), (6, 1, 3, 3), (5, 0, 2, 2), (7, 7, 3, 3)])
+    def test_out_of_range_matches_forced_drivers(self, n, d, q, p):
+        main, main2 = verify_main_pair(n, d, q, p)
+        want = verify_ideal_truncation_equality(
+            family_points(n, d), family_points(n, d, q), q - 1, p, 1
+        )
+        assert main.as_dict() == want.as_dict()
+        assert main2.as_dict() == verify_main2(n, d, q, p, force=True).as_dict()
+        assert main2.status == NOT_APPLICABLE
+
+    def test_invalid_inputs_rejected_like_main2(self):
+        for args in [(6, 3, 6, 3), (6, 3, 3, 4), (4, 5, 2, 2)]:
+            with pytest.raises(ValueError):
+                verify_main2(*args)
+            with pytest.raises(ValueError):
+                verify_main_pair(*args)
+
+    def test_shared_witness_fails_both(self, monkeypatch):
+        witness = {"polynomial": "x1", "point": [1, 0, 0, 0, 0, 0], "value": 1}
+        monkeypatch.setattr(theorems, "_vanishing_witness", lambda *args: witness)
+        main, main2 = verify_main_pair(6, 3, 3, 3)
+        assert main.status == main2.status == FAIL
+        assert main.witnesses == main2.witnesses == witness
+
+    def test_unequal_h_g_drops_main_witness_but_main2_still_scans(self, monkeypatch):
+        real_nested = theorems.nested_kernel
+
+        def shifted(*args):
+            kernel, monos, h_g = real_nested(*args)
+            return kernel, monos, h_g + 1
+
+        scan = mock.Mock(wraps=theorems._vanishing_witness)
+        monkeypatch.setattr(theorems, "nested_kernel", shifted)
+        monkeypatch.setattr(theorems, "_vanishing_witness", scan)
+        main, main2 = verify_main_pair(6, 3, 3, 3)
+        assert main.status == NOT_APPLICABLE
+        assert main.metrics["reason"] == "hilbert values differ"
+        assert main.witnesses is None
+        assert main.metrics["h_g"] == main.metrics["h_f"] + 1
+        assert main2.status == PASS
+        assert scan.call_count == 1
+        assert len(scan.call_args.args[2]) == main2.metrics["points_modq"]
 
 
 class TestHrubes:
