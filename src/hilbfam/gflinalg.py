@@ -166,6 +166,13 @@ class RowReducer:
             raise ValueError(f"expected {self.cols} columns, got {arr.shape[1]}")
         self._add_block(arr % self.p)
 
+    def basis_rows(self, start: int, stop: int) -> np.ndarray:
+        """Read-only view of the RREF rows start..stop in the order they
+        joined the basis, valid until the next :meth:`add_rows`."""
+        view = self._basis[start : min(stop, self.rank)]
+        view.flags.writeable = False
+        return view
+
     def echelon_rows(self) -> np.ndarray:
         """The nonzero rows of the RREF, ordered by pivot column."""
         order = np.argsort(np.asarray(self._pivots, dtype=np.int64))

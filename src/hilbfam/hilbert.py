@@ -6,16 +6,29 @@ points and whose columns are the reduced monomials of degree at most m
 values pointwise, so the reduced columns span the full degree-<= m
 function space).  Its rows are whole-array products over the monomials'
 exponent matrix (see :func:`_eval_rows`).  Every question is one
-elimination, streamed through the incremental reducer in blocks of
+elimination through the incremental reducer, fed in blocks of at most
 ``_BLOCK_ROWS`` rows so the matrix is never materialized:
 
-- a value or kernel feeds the point rows of the evaluation matrix;
+- a value or kernel of caller-supplied points feeds every point row;
 - a whole series feeds the transposed matrix, monomial rows over point
   columns, one degree at a time.  Rank is invariant under transposition
   and the monomials are ordered by degree, so h(m) is the rank reached
   after the degree-m rows;
 - for nested point sets F in G, the rows of G outside F go into F's
   reducer after F's kernel is taken, and the final rank is h(G).
+
+The uniform and mod-q families this library builds itself
+(:func:`family_kernel`, :func:`uniform_report`, :func:`modq_report`, and
+through them the MAIN2, HRUBES and HLEMMA drivers) are unions of size
+levels, each one orbit of S_n permuting coordinates.  When a question's
+levels hold more than max(2 * columns, ``_BLOCK_ROWS``) points, their
+row space is spun from one seed row per level under two generators of
+S_n instead (see :func:`_feed_family`); below that, streaming every point
+is as cheap.  The RREF of a row space is unique, so both paths give the
+same kernels and values.  The drivers' witness scans still evaluate the
+kernel at every point of the families they check: the scan is the
+cross-check that does not trust the elimination, so it must not lean on
+the symmetry argument either.
 """
 
 from __future__ import annotations
@@ -27,7 +40,7 @@ import numpy as np
 
 from .gflinalg import RowReducer
 from .poly import Monomial, Point, Polynomial, monomials_upto
-from .setfam import Params, binomial, family_points, is_power_of, is_prime
+from .setfam import Params, binomial, family_sizes, is_power_of, is_prime, level_points
 
 _BLOCK_ROWS = 2048
 
@@ -80,6 +93,47 @@ def _eval_rows(arr: np.ndarray, monomials: Sequence[Monomial], p: int, cap: int)
 def _feed_points(red: RowReducer, arr: np.ndarray, monos: Sequence[Monomial], p: int, cap: int) -> None:
     for start in range(0, arr.shape[0], _BLOCK_ROWS):
         red.add_rows(_eval_rows(arr[start : start + _BLOCK_ROWS], monos, p, cap))
+
+
+def _feed_family(
+    red: RowReducer, n: int, sizes: Sequence[int], monos: Sequence[Monomial], spin: bool | None = None
+) -> None:
+    """Bring into `red` the cap-1 rows, over the columns `monos`, of every
+    0/1 point of [n] whose size is in `sizes`.  What `red` holds already
+    must be closed under permuting the coordinates, as the rows of whole
+    size levels are.
+
+    Streaming feeds every point.  Spinning feeds one seed row per level,
+    then both images of each basis row, in the order rows join the basis,
+    under the column permutations that the coordinate permutations (1 2)
+    and (1 2 ... n) induce, until every row has been imaged.  That span is
+    closed under S_n, and each level is one S_n-orbit, so it is the
+    levels' row space, reached after len(sizes) + 2 * (rank gained) rows.
+    `spin` None spins when the levels hold more than max(2 * cols,
+    ``_BLOCK_ROWS``) points; below that, streaming feeds no more rows than
+    spinning can, or fits in one block.
+    """
+    if not sizes:
+        return
+    if spin is None:
+        spin = sum(binomial(n, k) for k in sizes) > max(2 * len(monos), _BLOCK_ROWS)
+    if not spin:
+        _feed_points(red, level_points(n, sizes), monos, red.p, 1)
+        return
+    index = {mono: j for j, mono in enumerate(monos)}
+    # Row of the permuted point at monomial u = row of the point at u with
+    # its exponents permuted back.
+    perms = [
+        np.array([index[mono[1::-1] + mono[2:]] for mono in monos]),
+        np.array([index[mono[1:] + mono[:1]] for mono in monos]),
+    ]
+    seeds = (np.arange(n) < np.array(sizes)[:, None]).astype(np.int64)
+    done = red.rank
+    red.add_rows(_eval_rows(seeds, monos, red.p, 1))
+    while done < red.rank:
+        rows = red.basis_rows(done, done + _BLOCK_ROWS // 2)
+        done += rows.shape[0]
+        red.add_rows(np.concatenate([rows[:, perm] for perm in perms]))
 
 
 def _reduce_points(points: Sequence[Point], m: int, p: int, cap: int) -> tuple[RowReducer, tuple[Monomial, ...]]:
@@ -146,6 +200,38 @@ def nested_kernel(
     kernel = red.kernel_matrix()
     _feed_points(red, arr_g[[pt not in in_f for pt in g_rows]], monos, p, cap)
     return kernel, monos, red.rank
+
+
+def family_kernel(
+    n: int, d: int, m: int, p: int, q: int | None = None
+) -> tuple[np.ndarray, tuple[Monomial, ...], int]:
+    """The canonical degree-<= m kernel of the d-uniform family of [n] (as
+    :func:`kernel_matrix` of ``family_points(n, d)`` at cap 1), its
+    monomial columns, and h at m of the family of sizes congruent to d
+    mod q, or of the d-uniform family when q is None.
+
+    One elimination, as :func:`nested_kernel`: the other size levels go
+    into the reducer after the kernel is taken.  Both families are held
+    to the enumeration cap, uniform first, though neither need be
+    enumerated.
+    """
+    family_sizes(n, d)
+    others = [k for k in family_sizes(n, d, q) if k != d]
+    monos = monomials_upto(n, m, 1)
+    red = RowReducer(p, len(monos))
+    _feed_family(red, n, (d,), monos)
+    kernel = red.kernel_matrix()
+    _feed_family(red, n, others, monos)
+    return kernel, monos, red.rank
+
+
+def _family_value(n: int, sizes: Sequence[int], m: int, p: int) -> tuple[int, int]:
+    """h at m of the 0/1 points of [n] with sizes in `sizes`, and the
+    number of monomial columns."""
+    monos = monomials_upto(n, m, 1)
+    red = RowReducer(p, len(monos))
+    _feed_family(red, n, sizes, monos)
+    return red.rank, len(monos)
 
 
 def vector_to_polynomial(vec: np.ndarray, monomials: Sequence[Monomial], p: int) -> Polynomial:
@@ -232,9 +318,7 @@ def uniform_report(n: int, d: int, p: int, m: int, cap: int | None = None) -> Hi
     """Report for the complete d-uniform family, with the closed form
     attached whenever m is inside its range."""
     params = Params(n=n, p=p, d=d, m=m)
-    points = family_points(n, d, cap=cap)
-    h = hilbert_value(points, m, p, 1)
-    n_monos = len(monomials_upto(n, m, 1))
+    h, n_monos = _family_value(n, family_sizes(n, d, cap=cap), m, p)
     closed = binomial(n, m) if m <= min(d, n - d) else None
     return HilbertReport(params, 1, h, closed, n_monos - h, min(d, n - d))
 
@@ -246,7 +330,5 @@ def modq_report(n: int, d: int, q: int, p: int, m: int, cap: int | None = None) 
     if not is_power_of(q, p):
         raise ValueError(f"q must be a positive power of p={p}, got {q}")
     params = Params(n=n, p=p, d=d, m=m, q=q)
-    points = family_points(n, d, q, cap)
-    h = hilbert_value(points, m, p, 1)
-    n_monos = len(monomials_upto(n, m, 1))
+    h, n_monos = _family_value(n, family_sizes(n, d, q, cap), m, p)
     return HilbertReport(params, 1, h, modq_value(n, d, q, m), n_monos - h, min(d, n - d))

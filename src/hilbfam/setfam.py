@@ -2,10 +2,11 @@
 
 Families are kept in a single canonical order (lexicographic on sorted
 member tuples) so that every downstream matrix, kernel basis and report
-is reproducible byte for byte.  `family_points` is the one enumerator of
-the uniform and mod-q families: it hands the library their 0/1 points as
-one int64 array, and the `make_*_family` constructors wrap the same
-member tuples as `Subset` objects.
+is reproducible byte for byte.  `family_sizes` names the member sizes
+of the uniform and mod-q families and enforces the enumeration cap on
+them; `level_points` enumerates the 0/1 points of given sizes as one
+int64 array.  `family_points` joins the two, and the `make_*_family`
+constructors wrap the same member tuples as `Subset` objects.
 """
 
 from __future__ import annotations
@@ -173,41 +174,53 @@ def char_vector(subset: Subset, n: int) -> tuple[int, ...]:
     return tuple(1 if i in inside else 0 for i in range(1, n + 1))
 
 
-def _family_members(n: int, d: int, q: int | None, cap: int | None) -> list[tuple[int, ...]]:
-    """Sorted member tuples of the d-uniform family (q None) or of the
-    family of sizes congruent to d mod q, after checking d, q and the cap."""
+def family_sizes(n: int, d: int, q: int | None = None, cap: int | None = None) -> tuple[int, ...]:
+    """Member sizes of the d-uniform family of [n] (q None) or of the family
+    of sizes congruent to d mod q, after checking d, q and that the family's
+    member count is within the enumeration cap."""
     if not 0 <= d <= n:
         raise ValueError(f"d must satisfy 0 <= d <= n, got d={d}, n={n}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if q is not None and q < 2:
         raise ValueError(f"q must be at least 2, got {q}")
-    sizes = (d,) if q is None else range(d % q, n + 1, q)
+    sizes = (d,) if q is None else tuple(range(d % q, n + 1, q))
     count = sum(math.comb(n, k) for k in sizes)
     limit = enumeration_cap() if cap is None else cap
     if count > limit:
         raise EnumerationCapError(f"family would contain {count} sets, cap is {limit}")
+    return sizes
+
+
+def _members(n: int, sizes: Iterable[int]) -> list[tuple[int, ...]]:
+    """Sorted member tuples of every subset of [n] whose size is in sizes."""
     return sorted(c for k in sizes for c in combinations(range(1, n + 1), k))
 
 
-def family_points(n: int, d: int, q: int | None = None, cap: int | None = None) -> np.ndarray:
-    """0/1 points of make_uniform_family(n, d) when q is None, else of
-    make_modq_family(n, d, q), in family order: one int64 row per member."""
-    members = _family_members(n, d, q, cap)
+def level_points(n: int, sizes: Iterable[int]) -> np.ndarray:
+    """0/1 points of every subset of [n] whose size is in sizes, in family
+    order: one int64 row per subset.  Unlike family_points, no cap check."""
+    members = _members(n, sizes)
     arr = np.zeros((len(members), n), dtype=np.int64)
     rows = np.repeat(np.arange(len(members)), [len(c) for c in members])
     arr[rows, np.fromiter(chain.from_iterable(members), np.intp, len(rows)) - 1] = 1
     return arr
 
 
+def family_points(n: int, d: int, q: int | None = None, cap: int | None = None) -> np.ndarray:
+    """0/1 points of make_uniform_family(n, d) when q is None, else of
+    make_modq_family(n, d, q), in family order: one int64 row per member."""
+    return level_points(n, family_sizes(n, d, q, cap))
+
+
 def make_uniform_family(n: int, d: int, cap: int | None = None) -> SetFamily:
     """All d-element subsets of [n]."""
-    return SetFamily(n, tuple(map(Subset, _family_members(n, d, None, cap))))
+    return SetFamily(n, tuple(map(Subset, _members(n, family_sizes(n, d, None, cap)))))
 
 
 def make_modq_family(n: int, d: int, q: int, cap: int | None = None) -> SetFamily:
     """All subsets of [n] whose size is congruent to d modulo q."""
-    return SetFamily(n, tuple(map(Subset, _family_members(n, d, q, cap))))
+    return SetFamily(n, tuple(map(Subset, _members(n, family_sizes(n, d, q, cap)))))
 
 
 def format_family(family: SetFamily) -> str:

@@ -19,9 +19,10 @@ import numpy as np
 
 from . import hilbert
 from .gflinalg import matmul_mod
-from .hilbert import (
+from .hilbert import (  # noqa: F401  (kernel_matrix stays importable from here)
     _eval_rows,
     _points_array,
+    family_kernel,
     kernel_matrix,
     nested_kernel,
     vector_to_polynomial,
@@ -29,6 +30,7 @@ from .hilbert import (
 from .poly import Point
 from .setfam import (
     EnumerationCapError,
+    binomial,
     enumeration_cap,
     family_points,
     is_power_of,
@@ -215,11 +217,10 @@ def verify_main2(n: int, d: int, q: int, p: int, force: bool = False) -> Verific
             metrics={"reason": "d outside q-1..n-q+1"},
             wall_time_ms=_elapsed_ms(start),
         )
-    uniform = family_points(n, d)
+    kernel, monos, _ = family_kernel(n, d, q - 1, p)
     modq = family_points(n, d, q)
-    kernel, monos = kernel_matrix(uniform, q - 1, p, 1)
     witness = _vanishing_witness(kernel, monos, modq, p, 1)
-    sizes = (len(uniform), len(modq))
+    sizes = (binomial(n, d), len(modq))
     return _main2_report(params, sizes, kernel, monos, witness, _elapsed_ms(start))
 
 
@@ -233,11 +234,10 @@ def verify_main_pair(n: int, d: int, q: int, p: int) -> tuple[VerificationReport
     """
     start = time.perf_counter()
     params = _main2_params(n, d, q, p)
-    uniform = family_points(n, d)
+    kernel, monos, h_g = family_kernel(n, d, q - 1, p, q)
     modq = family_points(n, d, q)
-    kernel, monos, h_g = nested_kernel(uniform, modq, q - 1, p, 1)
     witness = _vanishing_witness(kernel, monos, modq, p, 1)
-    sizes = (len(uniform), len(modq))
+    sizes = (binomial(n, d), len(modq))
     wall_ms = _elapsed_ms(start)
     return (
         _main_report(sizes, q - 1, p, 1, kernel, monos, h_g, witness, wall_ms),
@@ -255,11 +255,10 @@ def verify_hrubes(p: int) -> VerificationReport:
     start = time.perf_counter()
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    points = family_points(2 * p, p)
-    kernel, monos = kernel_matrix(points, p - 1, p, 1)
+    kernel, monos, _ = family_kernel(2 * p, p, p - 1, p)
     params = {"p": p, "n": 2 * p, "d": p, "degree_bound": p - 1}
     metrics = {
-        "points": len(points),
+        "points": binomial(2 * p, p),
         "monomials": len(monos),
         "h": len(monos) - int(kernel.shape[0]),
         "kernel_dim": int(kernel.shape[0]),
@@ -284,13 +283,12 @@ def verify_hlemma(p: int) -> VerificationReport:
     start = time.perf_counter()
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    lower = family_points(4 * p, 2 * p)
+    kernel, monos, _ = family_kernel(4 * p, 2 * p, p - 1, p)
     upper = family_points(4 * p, 3 * p)
-    kernel, monos = kernel_matrix(lower, p - 1, p, 1)
     witness = _vanishing_witness(kernel, monos, upper, p, 1)
     params = {"p": p, "n": 4 * p, "d_lower": 2 * p, "d_upper": 3 * p, "degree_bound": p - 1}
     metrics = {
-        "points_lower": len(lower),
+        "points_lower": binomial(4 * p, 2 * p),
         "points_upper": len(upper),
         "monomials": len(monos),
         "h": len(monos) - int(kernel.shape[0]),

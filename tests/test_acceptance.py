@@ -129,7 +129,7 @@ def test_criterion_05_extended_hlemma_p5():
     start = time.perf_counter()
     rep = verify_hlemma(5)
     elapsed = time.perf_counter() - start
-    report(5, "2p-vs-3p degree bound, p=5 extended", rep.status == PASS and elapsed < 600, elapsed)
+    report(5, "2p-vs-3p degree bound, p=5 extended", rep.status == PASS and elapsed < 120, elapsed)
 
 
 def test_criterion_06_truncation_equality_chain():

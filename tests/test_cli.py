@@ -28,6 +28,16 @@ def run_cli(capsys, *argv):
 
 
 class TestHilbertCommand:
+    def test_spun_family_keeps_the_enumeration_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("HILBFAM_ENUM_CAP", "10000")
+        argv = ["hilbert", "--n", "16", "--d", "8", "--p", "2", "--m", "3"]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert "family would contain 12870 sets, cap is 10000" in err
+        code, out, _ = run_cli(capsys, *argv, "--cap", "12870")
+        assert code == 0
+        assert json.loads(out)["h_oracle"] == 560
+
     def test_modq_report_matches_library(self, capsys):
         code, out, _ = run_cli(
             capsys, "hilbert", "--n", "6", "--d", "3", "--p", "3", "--m", "2",
@@ -261,17 +271,22 @@ class TestVerifyAllSharing:
     """`verify all` answers each MAIN/MAIN2 pair from one computation."""
 
     def test_one_elimination_per_pair(self):
+        family = mock.Mock(wraps=theorems.family_kernel)
         nested = mock.Mock(wraps=theorems.nested_kernel)
         plain = mock.Mock(wraps=theorems.kernel_matrix)
-        with mock.patch.object(theorems, "nested_kernel", nested), \
+        with mock.patch.object(theorems, "family_kernel", family), \
+                mock.patch.object(theorems, "nested_kernel", nested), \
                 mock.patch.object(theorems, "kernel_matrix", plain):
             reports = cli._batch_reports(3, 8)
         claims = Counter(r.claim for r in reports)
         assert claims["MAIN"] == claims["MAIN2"] > 0
-        # GRID_REMARK is the only other nested user; only HRUBES and HLEMMA
-        # eliminate with kernel_matrix, so none is left for MAIN2.
-        assert nested.call_count == claims["MAIN"] + claims["GRID_REMARK"]
-        assert plain.call_count == claims["HRUBES"] + claims["HLEMMA"]
+        # Each pair, HRUBES and HLEMMA eliminate once with family_kernel, so
+        # none is left for MAIN2; GRID_REMARK is the only nested_kernel user.
+        assert family.call_count == claims["MAIN"] + claims["HRUBES"] + claims["HLEMMA"]
+        pairs = [c for c in family.call_args_list if len(c.args) == 5]
+        assert len(pairs) == claims["MAIN"]
+        assert nested.call_count == claims["GRID_REMARK"]
+        assert plain.call_count == 0
         order = [r.claim for r in reports if r.claim in ("MAIN", "MAIN2")]
         assert order == ["MAIN", "MAIN2"] * claims["MAIN"]
 

@@ -98,6 +98,16 @@ class TestRref:
         assert red.echelon_rows().tolist() == expected[: len(expected_piv)]
         assert red.pivot_columns() == expected_piv
 
+    def test_basis_rows_in_join_order_read_only(self):
+        red = RowReducer(3, 4)
+        red.add_rows([[0, 1, 2, 0]])
+        red.add_rows([[2, 0, 0, 2]])
+        rows = red.basis_rows(0, 5)
+        assert rows.tolist() == [[0, 1, 2, 0], [1, 0, 0, 1]]
+        assert rows[::-1].tolist() == red.echelon_rows().tolist()
+        assert red.basis_rows(1, 2).tolist() == [[1, 0, 0, 1]]
+        assert not rows.flags.writeable
+
     @given(fp_matrices())
     def test_idempotent(self, m):
         red = reduce_all(m)

@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbfam import hilbert
+from hilbfam.gflinalg import RowReducer
 from hilbfam.hilbert import (
     HilbertReport,
     _eval_rows,
+    family_kernel,
     hilbert_series,
     hilbert_value,
     ideal_truncation_basis,
@@ -24,7 +26,14 @@ from hilbfam.hilbert import (
     wilson_value,
 )
 from hilbfam.poly import Polynomial, evaluate, monomials_upto
-from hilbfam.setfam import binomial, make_modq_family, make_uniform_family
+from hilbfam.setfam import (
+    EnumerationCapError,
+    binomial,
+    family_points,
+    family_sizes,
+    make_modq_family,
+    make_uniform_family,
+)
 from hilbfam.theorems import verify_ideal_truncation_equality
 
 
@@ -496,3 +505,87 @@ class TestReports:
     def test_modq_report_requires_prime_power(self):
         with pytest.raises(ValueError):
             modq_report(5, 1, 6, 2, 1)
+
+
+def levels_fed(n, d, q, m, p, spin):
+    """The d-level's reducer kernel, then the whole family's echelon rows and
+    kernel, with every size level fed one way, in family_kernel's order."""
+    monos = monomials_upto(n, m, 1)
+    red = RowReducer(p, len(monos))
+    hilbert._feed_family(red, n, (d,), monos, spin=spin)
+    kernel = red.kernel_matrix()
+    others = [k for k in family_sizes(n, d, q) if k != d]
+    hilbert._feed_family(red, n, others, monos, spin=spin)
+    return kernel, red.echelon_rows(), red.kernel_matrix()
+
+
+class TestSpinning:
+    """One seed row per size level, spun under (1 2) and (1 2 ... n), spans
+    the rows of every point of those levels."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_spun_equals_streamed_for_every_family(self, n):
+        m = min(3, n // 2 + 1)
+        for q in (None, 2, 3, 4, 5):
+            for d in range(n + 1 if q is None else min(q, n + 1)):
+                for p in (2, 3, 5):
+                    spun = levels_fed(n, d, q, m, p, spin=True)
+                    streamed = levels_fed(n, d, q, m, p, spin=False)
+                    for a, b in zip(spun, streamed):
+                        assert np.array_equal(a, b), (n, d, q, p)
+
+    def test_streamed_path_is_the_public_kernel(self):
+        for n, d, q, m, p in [(6, 3, None, 2, 3), (7, 1, 3, 3, 2), (8, 2, 4, 3, 5)]:
+            kernel, _, whole = levels_fed(n, d, q, m, p, spin=False)
+            assert np.array_equal(kernel, kernel_matrix(family_points(n, d), m, p, 1)[0])
+            assert np.array_equal(whole, kernel_matrix(family_points(n, d, q), m, p, 1)[0])
+
+    def test_spinning_feeds_a_seed_and_two_images_per_basis_row(self, monkeypatch):
+        fed = []
+        real = RowReducer.add_rows
+
+        def counting(red, rows):
+            fed.append(len(rows))
+            return real(red, rows)
+
+        monkeypatch.setattr(RowReducer, "add_rows", counting)
+        kernel, monos, h = family_kernel(16, 8, 3, 2)
+        assert h == len(monos) - len(kernel) == binomial(16, 3)
+        assert sum(fed) == 1 + 2 * h
+
+    @pytest.mark.parametrize("n,sizes,m,spins", [
+        (12, (6,), 1, False),            # 924 points: within one block
+        (13, (6,), 1, False),            # 1716 points: within one block
+        (12, (5, 6, 7), 5, False),       # 2508 points, not above 2 * 1586 columns
+        (16, (8,), 1, True),             # 12870 points over 17 columns
+        (14, (1, 4, 7, 10, 13), 3, True),
+    ])
+    def test_rule_streams_small_or_square_levels(self, monkeypatch, n, sizes, m, spins):
+        streamed = []
+        monkeypatch.setattr(hilbert, "_feed_points", lambda red, arr, *rest: streamed.append(len(arr)))
+        monos = monomials_upto(n, m, 1)
+        red = RowReducer(2, len(monos))
+        hilbert._feed_family(red, n, sizes, monos)
+        assert streamed == ([] if spins else [sum(binomial(n, k) for k in sizes)])
+
+    def test_closed_forms_beyond_brute_force(self):
+        rep = uniform_report(16, 8, 2, 3)
+        assert rep.h_oracle == rep.h_closed_form == math.comb(16, 3)
+        for m in range(4):
+            assert modq_report(16, 8, 4, 2, m).h_oracle == modq_value(16, 8, 4, m)
+
+    @pytest.mark.parametrize("q", [None, 4])
+    def test_cap_boundary_matches_family_points(self, monkeypatch, q):
+        count = len(family_points(16, 8, q))
+        calls = [
+            lambda: family_points(16, 8, q),
+            lambda: family_kernel(16, 8, 1, 2, q),
+            lambda: modq_report(16, 8, q, 2, 1) if q else uniform_report(16, 8, 2, 1),
+        ]
+        monkeypatch.setenv("HILBFAM_ENUM_CAP", str(count))
+        for call in calls:
+            call()
+        monkeypatch.setenv("HILBFAM_ENUM_CAP", str(count - 1))
+        for call in calls:
+            with pytest.raises(EnumerationCapError):
+                call()

@@ -167,6 +167,16 @@ class TestMain2:
         with pytest.raises(ValueError):
             verify_main2(6, 3, 3, 4)
 
+    def test_spun_report_and_kernel_equal_streamed(self, monkeypatch):
+        spun = verify_main2(17, 8, 2, 2).as_dict()
+        spun_kernel = hilbert.family_kernel(17, 8, 1, 2)
+        real = hilbert._feed_family
+        monkeypatch.setattr(hilbert, "_feed_family", lambda *args: real(*args, spin=False))
+        assert verify_main2(17, 8, 2, 2).as_dict() == spun
+        streamed_kernel = hilbert.family_kernel(17, 8, 1, 2)
+        assert np.array_equal(spun_kernel[0], streamed_kernel[0])
+        assert spun_kernel[1:] == streamed_kernel[1:]
+
     def test_sweep_small_parameters(self):
         for (p, q) in [(2, 2), (3, 3)]:
             for n in range(1, 7):
@@ -225,14 +235,14 @@ class TestMainPair:
         assert main.witnesses == main2.witnesses == witness
 
     def test_unequal_h_g_drops_main_witness_but_main2_still_scans(self, monkeypatch):
-        real_nested = theorems.nested_kernel
+        real_family = theorems.family_kernel
 
         def shifted(*args):
-            kernel, monos, h_g = real_nested(*args)
+            kernel, monos, h_g = real_family(*args)
             return kernel, monos, h_g + 1
 
         scan = mock.Mock(wraps=theorems._vanishing_witness)
-        monkeypatch.setattr(theorems, "nested_kernel", shifted)
+        monkeypatch.setattr(theorems, "family_kernel", shifted)
         monkeypatch.setattr(theorems, "_vanishing_witness", scan)
         main, main2 = verify_main_pair(6, 3, 3, 3)
         assert main.status == NOT_APPLICABLE
