@@ -18,10 +18,17 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .balancing import BalancingInstance, check_lower_bound, min_balancing_size
-from .hilbert import hilbert_series, ideal_truncation_basis, modq_report, uniform_report
-from .poly import monomials_upto
+from .hilbert import (
+    family_kernel,
+    hilbert_series,
+    kernel_matrix,
+    modq_report,
+    uniform_report,
+    vector_to_polynomial,
+)
 from .setfam import (
     EnumerationCapError,
+    binomial,
     family_points,
     is_prime,
     parse_family,
@@ -117,18 +124,24 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_ideal(args: argparse.Namespace) -> int:
-    points = family_points(args.n, args.d, args.modq, args.cap)
-    basis = ideal_truncation_basis(points, args.m, args.p, 1)
+    if args.modq is None:
+        # The uniform family's kernel, spun rather than streamed.
+        kernel, monos, _ = family_kernel(args.n, args.d, args.m, args.p, cap=args.cap)
+        points = binomial(args.n, args.d)
+    else:
+        arr = family_points(args.n, args.d, args.modq, args.cap)
+        kernel, monos = kernel_matrix(arr, args.m, args.p, 1)
+        points = len(arr)
     out = {
         "n": args.n,
         "d": args.d,
         "p": args.p,
         "q": args.modq,
         "m": args.m,
-        "points": len(points),
-        "h": len(monomials_upto(args.n, args.m, 1)) - len(basis),
-        "ideal_dim": len(basis),
-        "basis": [str(f) for f in basis],
+        "points": points,
+        "h": len(monos) - len(kernel),
+        "ideal_dim": len(kernel),
+        "basis": [str(vector_to_polynomial(row, monos, args.p)) for row in kernel],
     }
     _emit(out, args.format)
     return EXIT_OK

@@ -9,16 +9,21 @@ and the canonical kernel basis do not depend on how the rows arrive.
 
 The engine follows the delayed-update scheme of Dumas, Giorgi and
 Pernet (FFLAS-FFPACK, ACM TOMS 2008).  A block of rows is reduced once
-against the basis, then eliminated in panels of ``_PANEL`` rows: each
-panel is reduced against the rows earlier panels of the block added,
-brought to RREF locally, and clears its new pivot columns from the basis
-with one :func:`matmul_mod` per ``_PANEL`` basis rows it touches, so the
-back-elimination never holds a temporary larger than ``_PANEL`` x cols.
-The basis is in RREF, the identity on its pivot columns, so reducing a
-block multiplies only on the free columns and zeroes the pivot ones.
-All products are exact in int64 (and in float64 BLAS where
-:func:`matmul_mod` can prove it) while ``max(cols, 1) * (p-1)^2 < 2^62``;
-:class:`RowReducer` refuses larger fields at construction.
+against the basis, then eliminated in panels of ``_PANEL`` rows.  Each
+panel is reduced against the rows earlier panels of the same block
+added, brought to RREF by recursive halving down to ``_LEAF``-row leaves
+(each merge is two products: the top half's pivots are cleared from the
+bottom half, then the bottom half's from the top), and clears its new
+pivots only from the rows its own block added.  Once the block is done,
+one pass clears all of the block's new pivots from the earlier blocks'
+rows, one product per ``_CHUNK`` rows, so the basis is in RREF again
+whenever :meth:`RowReducer.add_rows` returns.  Reducing against rows in
+RREF multiplies only on the free columns and zeroes the pivot ones.
+Each update ``sub -= product; sub %= p`` reduces mod p once: the product
+comes back exact and unreduced.  All products are exact in int64 (and
+in float64 BLAS while the sums stay under 2^53) while
+``max(cols, 1) * (p-1)^2 < 2^62``; :class:`RowReducer` refuses larger
+fields at construction.
 """
 
 from __future__ import annotations
@@ -35,25 +40,44 @@ from .setfam import is_prime
 _FLOAT_EXACT_LIMIT = 2**53
 _INT64_EXACT_LIMIT = 2**62
 
-# Rows per elimination panel.
-_PANEL = 64
+# Rows per elimination panel, rows per leaf of a panel's recursion, and
+# basis rows per back-elimination product.  Chosen by timing on one core
+# (float64 BLAS at about 48 GFLOP/s, int64 `%` at 4.5-7 ns per element):
+# 64-row panels took 0.63 s a round of the odd-elim benchmark against
+# 0.54 s; leaves of 8 and 16 rows tied and 32 was slower; chunks of 512
+# and more rows raised peak memory on verify_hrubes(7) for no clear gain.
+_PANEL = 128
+_LEAF = 16
+_CHUNK = 128
 
 
-def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) % p for int64 arrays with entries in 0..p-1.
-
-    Routes through float64 BLAS when the accumulated dot products are
-    provably exact, otherwise falls back to int64 arithmetic.
-    """
+def _matmul_exact(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """The exact integer product a @ b, unreduced, for int64 arrays with
+    entries in 0..p-1: float64 from BLAS while its sums provably stay
+    under 2^53, int64 arithmetic above that.  Subtract it from int64 rows
+    with :func:`_subtract`."""
     if a.shape[1] == 0:
         return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     bound = a.shape[1] * (p - 1) ** 2
     if bound < _FLOAT_EXACT_LIMIT:
-        prod = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-    elif bound < _INT64_EXACT_LIMIT:
-        prod = a @ b
-    else:
-        raise ValueError(f"modulus {p} too large for exact matmul at this size")
+        return a.astype(np.float64) @ b.astype(np.float64)
+    if bound < _INT64_EXACT_LIMIT:
+        return a @ b
+    raise ValueError(f"modulus {p} too large for exact matmul at this size")
+
+
+def _subtract(rows: np.ndarray, prod: np.ndarray, p: int) -> None:
+    """rows = (rows - prod) % p in place, for int64 `rows` and an exact
+    product from :func:`_matmul_exact`.  A float64 product is subtracted
+    without an int64 copy: the difference is an integer under 2^53, so
+    the float arithmetic and the cast back are exact."""
+    np.subtract(rows, prod, out=rows, casting="unsafe")
+    rows %= p
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Exact (a @ b) % p for int64 arrays with entries in 0..p-1."""
+    prod = _matmul_exact(a, b, p).astype(np.int64, copy=False)
     prod %= p
     return prod
 
@@ -207,15 +231,32 @@ class RowReducer:
         if coeffs.any():
             # np.take gathers columns faster than fancy indexing does.
             free = np.flatnonzero(~self._is_pivot)
+            prod = _matmul_exact(coeffs, np.take(self._basis[start:stop], free, axis=1), self.p)
             sub = np.take(block, free, axis=1)
-            sub -= matmul_mod(coeffs, np.take(self._basis[start:stop], free, axis=1), self.p)
-            sub %= self.p
+            _subtract(sub, prod, self.p)
             block[:, free] = sub
             block[:, pivots] = 0
 
     def _eliminate_panel(self, panel: np.ndarray) -> tuple[np.ndarray, list[int]]:
         """Gauss-Jordan a panel in place with leftmost pivots; return its
         nonzero RREF rows and their pivot columns in the order found."""
+        found, pivots = self._eliminate(panel)
+        return panel[found], pivots
+
+    def _eliminate(self, panel: np.ndarray) -> tuple[list[int], list[int]]:
+        """Bring `panel` to RREF in place, its dependent rows to zero; return
+        the positions of its pivot rows and their pivot columns in the order
+        found.  Above ``_LEAF`` rows, halve: eliminate the top half, clear
+        its pivots from the bottom half, eliminate that, and clear the
+        bottom half's pivots from the top half."""
+        if panel.shape[0] > _LEAF:
+            half = panel.shape[0] // 2
+            top, bottom = panel[:half], panel[half:]
+            found, pivots = self._eliminate(top)
+            self._clear(bottom, top[found], pivots)
+            found_bottom, pivots_bottom = self._eliminate(bottom)
+            self._clear(top, bottom[found_bottom], pivots_bottom)
+            return found + [half + i for i in found_bottom], pivots + pivots_bottom
         found: list[int] = []
         pivots: list[int] = []
         for i in panel.any(axis=1).nonzero()[0].tolist():
@@ -232,25 +273,34 @@ class RowReducer:
                 hit = hit[hit != i]
                 sub = panel[hit, j:]
                 sub -= sub[:, :1] * row
-                panel[hit, j:] = sub % self.p
+                sub %= self.p
+                panel[hit, j:] = sub
             found.append(i)
             pivots.append(j)
-        return panel[found], pivots
+        return found, pivots
 
-    def _back_eliminate(self, rows: np.ndarray, pivots: list[int]) -> None:
-        # `rows` is zero at every basis pivot and the identity at `pivots`,
-        # so one product clears all of `pivots` from a basis row.  Each row
-        # is zero left of its own pivot, so only columns lo.. change.
+    def _clear(self, target: np.ndarray, rows: np.ndarray, pivots: list[int]) -> None:
+        """Clear `pivots` from `target` in place.  `rows` is the identity at
+        `pivots` and zero at every pivot `target` is already clear of, so
+        one product does it; each row is zero left of its own pivot, so only
+        columns lo.. change."""
+        if not pivots:
+            return
+        coeffs = target[:, pivots]
+        if coeffs.any():
+            lo = min(pivots)
+            _subtract(target[:, lo:], _matmul_exact(coeffs, rows[:, lo:], self.p), self.p)
+
+    def _back_eliminate(self, rows: np.ndarray, pivots: list[int], start: int, stop: int) -> None:
+        """Clear `pivots` from basis rows start..stop with :meth:`_clear`,
+        ``_CHUNK`` at a time of the rows that have a nonzero there."""
         basis = self._basis
-        lo = min(pivots)
-        rows = rows[:, lo:]
-        hit = np.flatnonzero(basis[: self.rank, pivots].any(axis=1))
-        for start in range(0, hit.size, _PANEL):
-            idx = hit[start : start + _PANEL]
-            sub = basis[idx, lo:]
-            sub -= matmul_mod(basis[np.ix_(idx, pivots)], rows, self.p)
-            sub %= self.p
-            basis[idx, lo:] = sub
+        hit = start + np.flatnonzero(basis[start:stop, pivots].any(axis=1))
+        for at in range(0, hit.size, _CHUNK):
+            idx = hit[at : at + _CHUNK]
+            sub = basis[idx]
+            self._clear(sub, rows, pivots)
+            basis[idx] = sub
 
     def _append(self, rows: np.ndarray, pivots: list[int]) -> None:
         count = self.rank
@@ -273,8 +323,13 @@ class RowReducer:
             self._reduce_against(panel, block_start, self.rank)
             rows, pivots = self._eliminate_panel(panel)
             if pivots:
-                self._back_eliminate(rows, pivots)
+                self._back_eliminate(rows, pivots, block_start, self.rank)
                 self._append(rows, pivots)
+        # The panels left this block's pivots in the earlier blocks' rows;
+        # one pass clears them, so the basis is in RREF again.
+        if 0 < block_start < self.rank:
+            new = self._basis[block_start : self.rank]
+            self._back_eliminate(new, self._pivots[block_start:], 0, block_start)
 
 
 def rank_mod_p(matrix: FpMatrix) -> int:

@@ -203,7 +203,7 @@ def nested_kernel(
 
 
 def family_kernel(
-    n: int, d: int, m: int, p: int, q: int | None = None
+    n: int, d: int, m: int, p: int, q: int | None = None, cap: int | None = None
 ) -> tuple[np.ndarray, tuple[Monomial, ...], int]:
     """The canonical degree-<= m kernel of the d-uniform family of [n] (as
     :func:`kernel_matrix` of ``family_points(n, d)`` at cap 1), its
@@ -212,11 +212,11 @@ def family_kernel(
 
     One elimination, as :func:`nested_kernel`: the other size levels go
     into the reducer after the kernel is taken.  Both families are held
-    to the enumeration cap, uniform first, though neither need be
-    enumerated.
+    to the enumeration cap (`cap`, default the active one), uniform
+    first, though neither need be enumerated.
     """
-    family_sizes(n, d)
-    others = [k for k in family_sizes(n, d, q) if k != d]
+    family_sizes(n, d, cap=cap)
+    others = [k for k in family_sizes(n, d, q, cap) if k != d]
     monos = monomials_upto(n, m, 1)
     red = RowReducer(p, len(monos))
     _feed_family(red, n, (d,), monos)

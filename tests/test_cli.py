@@ -14,8 +14,9 @@ import pytest
 from hilbfam import cli, theorems
 from hilbfam.balancing import BalancingInstance, check_lower_bound, min_balancing_size
 from hilbfam.cli import main
-from hilbfam.hilbert import hilbert_series, modq_report
-from hilbfam.setfam import SetFamily, Subset, format_family, make_uniform_family
+from hilbfam.hilbert import hilbert_series, ideal_truncation_basis, modq_report
+from hilbfam.poly import monomials_upto
+from hilbfam.setfam import SetFamily, Subset, family_points, format_family, make_uniform_family
 from hilbfam.theorems import verify_hrubes
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -100,6 +101,55 @@ class TestIdealCommand:
         assert body["basis"] == ["x4 + x3 + x2 + x1"]
         assert body["h"] == 4
         assert body["ideal_dim"] == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n", "16", "--d", "8", "--p", "2", "--m", "3"],
+            ["--n", "12", "--d", "6", "--p", "5", "--m", "2"],
+            ["--n", "9", "--d", "4", "--p", "3", "--m", "2", "--format", "text"],
+        ],
+        ids=["spun-p2", "streamed-p5", "text-p3"],
+    )
+    def test_uniform_output_matches_streamed_path(self, capsys, argv):
+        # Without --modq, the kernel comes from family_kernel instead of
+        # streaming every point; the output is the streamed path's.
+        family = mock.Mock(wraps=cli.family_kernel)
+        with mock.patch.object(cli, "family_kernel", family):
+            code, out, _ = run_cli(capsys, "ideal", *argv)
+        assert code == 0
+        assert family.call_count == 1
+        args = cli.build_parser().parse_args(["ideal", *argv])
+        points = family_points(args.n, args.d)
+        basis = ideal_truncation_basis(points, args.m, args.p, 1)
+        cli._emit(
+            {
+                "n": args.n,
+                "d": args.d,
+                "p": args.p,
+                "q": None,
+                "m": args.m,
+                "points": len(points),
+                "h": len(monomials_upto(args.n, args.m, 1)) - len(basis),
+                "ideal_dim": len(basis),
+                "basis": [str(f) for f in basis],
+            },
+            args.format,
+        )
+        assert out == capsys.readouterr().out
+
+    def test_spun_family_keeps_the_enumeration_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("HILBFAM_ENUM_CAP", "10000")
+        argv = ["ideal", "--n", "16", "--d", "8", "--p", "2", "--m", "1"]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert "family would contain 12870 sets, cap is 10000" in err
+        code, out, _ = run_cli(capsys, *argv, "--cap", "12870")
+        assert code == 0
+        assert json.loads(out)["h"] == 16
+        code, _, err = run_cli(capsys, *argv, "--cap", "12869")
+        assert code == 3
+        assert "cap is 12869" in err
 
 
 class TestVerifyCommands:

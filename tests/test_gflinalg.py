@@ -1,11 +1,14 @@
 """Exact F_p elimination: examples, rank-nullity, agreement with oracles."""
 
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hilbfam.gflinalg import (
+    _CHUNK,
     _PANEL,
     FpMatrix,
     FpVector,
@@ -14,8 +17,8 @@ from hilbfam.gflinalg import (
     matmul_mod,
     rank_mod_p,
 )
-from hilbfam.hilbert import hilbert_value
-from hilbfam.setfam import binomial, make_uniform_family
+from hilbfam.hilbert import _BLOCK_ROWS, hilbert_value
+from hilbfam.setfam import binomial, level_points, make_uniform_family
 
 
 def oracle_rref(rows, p):
@@ -273,6 +276,124 @@ class TestMultiPanel:
         points = make_uniform_family(12, 6).points()
         assert hilbert_value(points, 4, 5, 1) == binomial(12, 4) == 495
 
+    def test_int64_path_across_multi_panel_blocks(self):
+        # Blocks of 150 rows: the first is two panels, and the second adds
+        # pivots that must be cleared from the first's rows, on the int64
+        # path.
+        p = 67108859
+        data = multi_panel_matrix("random", p, seed=3, rows=200, cols=170)
+        expected, expected_piv = oracle_rref(data.tolist(), p)
+        red = reduce_in_blocks(data, p, 150)
+        assert red.rank > 150
+        assert red.pivot_columns() == expected_piv
+        assert red.echelon_rows().tolist() == expected[: len(expected_piv)]
+
+    @pytest.mark.parametrize("p", [2, 3, 101])
+    def test_second_block_clears_its_pivots_from_the_first(self, p):
+        rng = np.random.default_rng(30 + p)
+        cols = 200
+        # The first block has rank about 150 < cols, so its RREF rows are
+        # dense on the columns where the second block's pivots land.
+        first = (rng.integers(0, p, (170, 150)) @ rng.integers(0, p, (150, cols))) % p
+        second = rng.integers(0, p, (140, cols))
+        red = RowReducer(p, cols)
+        red.add_rows(first)
+        old = red.rank
+        before = red.basis_rows(0, old).copy()
+        red.add_rows(second)
+        new = sorted(set(red.pivot_columns()) - set((before != 0).argmax(axis=1).tolist()))
+        # More first-block rows are hit than one chunk holds.
+        assert before[:, new].any(axis=1).sum() > _CHUNK
+        assert not red.basis_rows(0, old)[:, new].any()
+        expected, expected_piv = oracle_rref(np.vstack([first, second]).tolist(), p)
+        assert red.pivot_columns() == expected_piv
+        assert red.echelon_rows().tolist() == expected[: len(expected_piv)]
+
+    @pytest.mark.parametrize("p", [2, 3, 101])
+    @pytest.mark.parametrize("kind", ["low-rank", "repeated"])
+    def test_basis_rows_join_in_arrival_order(self, kind, p):
+        data = multi_panel_matrix(kind, p, seed=40 + p, rows=2 * _PANEL + 20, cols=90)
+        order, final = arrival_pivots(data, p)
+        for block in (data.shape[0], 150, 37):
+            red = reduce_in_blocks(data, p, block)
+            rows = red.basis_rows(0, red.rank)
+            assert (rows != 0).argmax(axis=1).tolist() == order
+            assert rows.tolist() == [final[c].tolist() for c in order]
+
+
+def arrival_pivots(data, p):
+    """The pivot column each independent row brings when the rows arrive
+    one at a time, in arrival order, and the final RREF row per pivot."""
+    rref = {}
+    order = []
+    for vec in data % p:
+        for c, row in rref.items():
+            vec = (vec - vec[c] * row) % p
+        if vec.any():
+            c = int(np.flatnonzero(vec)[0])
+            vec = vec * pow(int(vec[c]), -1, p) % p
+            for other, row in rref.items():
+                rref[other] = (row - row[c] * vec) % p
+            rref[c] = vec
+            order.append(c)
+    return order, rref
+
+
+def inclusion_matrix(n, t, k):
+    """W_{t,k}(n): one row per k-subset K of [n] and one column per
+    t-subset T, in combinations order, with 1 where T is inside K."""
+    return ((1 - level_points(n, [k])) @ level_points(n, [t]).T == 0).astype(np.int64)
+
+
+def wilson_p_rank(n, t, k, p):
+    """Wilson's p-rank of W_{t,k}(n) for t <= min(k, n - k) (R. M. Wilson,
+    European J. Combin. 1990): the sum of C(n, i) - C(n, i - 1) over the
+    i <= t with p not dividing C(k - i, t - i)."""
+    return sum(
+        comb(n, i) - (comb(n, i - 1) if i else 0)
+        for i in range(t + 1)
+        if comb(k - i, t - i) % p
+    )
+
+
+class TestWilsonPRank:
+    """Ranks of inclusion matrices against Wilson's closed form."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_every_case_up_to_n11(self, p):
+        deficient = 0
+        for n in range(1, 12):
+            for k in range(n + 1):
+                for t in range(min(k, n - k) + 1):
+                    w = inclusion_matrix(n, t, k)
+                    expected = wilson_p_rank(n, t, k, p)
+                    red = RowReducer(p, w.shape[1])
+                    red.add_rows(w)
+                    assert red.rank == expected, (n, t, k, p)
+                    deficient += expected < comb(n, t)
+        assert deficient
+
+    @pytest.mark.parametrize(
+        "n, t, k, p",
+        [(14, 3, 7, 2), (14, 3, 7, 3), (14, 3, 7, 7), (15, 2, 7, 5),
+         (15, 3, 7, 2), (15, 3, 7, 3), (15, 3, 7, 7)],
+    )
+    def test_beyond_one_block(self, n, t, k, p):
+        w = inclusion_matrix(n, t, k)
+        red = RowReducer(p, w.shape[1])
+        ranks = []
+        for start in range(0, w.shape[0], _BLOCK_ROWS):
+            red.add_rows(w[start : start + _BLOCK_ROWS])
+            ranks.append(red.rank)
+        assert red.rank == wilson_p_rank(n, t, k, p)
+        # A later block adds pivots, so the end-of-block pass runs; the
+        # basis must still be the identity on its pivot columns.
+        assert ranks[0] < red.rank
+        pivots = list(red.pivot_columns())
+        assert (red.echelon_rows()[:, pivots] == np.eye(red.rank, dtype=np.int64)).all()
+        assert not ((w @ red.kernel_matrix().T) % p).any()
+
+
 
 def check_panel(panel, p):
     """`_eliminate_panel` against the oracle RREF of the same rows."""
@@ -324,6 +445,13 @@ class TestEliminatePanel:
     def test_all_zero_panel(self, p):
         rows, pivots = RowReducer(p, 5)._eliminate_panel(np.zeros((3, 5), dtype=np.int64))
         assert pivots == [] and rows.shape == (0, 5)
+
+    @pytest.mark.parametrize("p", [2, 3, 101])
+    @pytest.mark.parametrize("rows", [15, 16, 17, 33, _PANEL])
+    def test_panel_sizes_around_the_leaves(self, rows, p):
+        # One leaf, a leaf split in two, and halves of uneven size.
+        check_panel(panel_matrix(p, rows, rows=rows), p)
+        check_panel(np.random.default_rng(rows).integers(0, p, (rows, rows + 5)), p)
 
     @given(fp_matrices(max_rows=_PANEL, max_cols=12))
     def test_random_panels(self, m):
