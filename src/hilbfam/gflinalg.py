@@ -20,10 +20,15 @@ rows, one product per ``_CHUNK`` rows, so the basis is in RREF again
 whenever :meth:`RowReducer.add_rows` returns.  Reducing against rows in
 RREF multiplies only on the free columns and zeroes the pivot ones.
 Each update ``sub -= product; sub %= p`` reduces mod p once: the product
-comes back exact and unreduced.  All products are exact in int64 (and
-in float64 BLAS while the sums stay under 2^53) while
-``max(cols, 1) * (p-1)^2 < 2^62``; :class:`RowReducer` refuses larger
-fields at construction.
+comes back exact and unreduced.
+
+The working dtype is fixed at construction from ``max(cols, 1) *
+(p-1)^2``, the largest sum a product can reach.  Under 2^21 the basis,
+blocks, panels and products are float32, the ``Modular<float>`` field of
+FFLAS-FFPACK, reduced by :func:`_mod`; otherwise the basis is int64, and
+products are exact in float64 BLAS while their sums stay under 2^53 and
+in int64 arithmetic under 2^62.  :class:`RowReducer` refuses larger
+fields.  What the reducer returns is int64 either way.
 """
 
 from __future__ import annotations
@@ -34,32 +39,60 @@ import numpy as np
 
 from .setfam import is_prime
 
-# Products in a block reduction are sums of at most `rank` terms bounded
-# by (p-1)^2; float64 matmul is exact while they stay under 2^53, int64
-# arithmetic while they stay under 2^62.
-_FLOAT_EXACT_LIMIT = 2**53
+# Products in a block reduction are sums of at most `rank` <= cols terms
+# bounded by (p-1)^2.  They are exact in float32 under 2^24, in float64
+# under 2^53 and in int64 under 2^62; the float32 tier stops at 2^21 so
+# that :func:`_mod` reduces its results exactly as well.
+_FLOAT32_EXACT_LIMIT = 2**21
+_FLOAT64_EXACT_LIMIT = 2**53
 _INT64_EXACT_LIMIT = 2**62
 
 # Rows per elimination panel, rows per leaf of a panel's recursion, and
 # basis rows per back-elimination product.  Chosen by timing on one core
-# (float64 BLAS at about 48 GFLOP/s, int64 `%` at 4.5-7 ns per element):
-# 64-row panels took 0.63 s a round of the odd-elim benchmark against
-# 0.54 s; leaves of 8 and 16 rows tied and 32 was slower; chunks of 512
-# and more rows raised peak memory on verify_hrubes(7) for no clear gain.
+# (float32 BLAS at 66-85 GFLOP/s against 38-42 for float64; the float32
+# offset floor at 1.1-3 ns per element against 4.2-4.6 for int64 `%`):
+# 64-row panels were slower on the odd-elim benchmark (0.28-0.30 s a
+# round against 0.25-0.27 s); 256-row panels were faster there by about
+# 7% in 4 of 4 pairs but not on gf2-wide or verify-batch; leaves of 8 or
+# 32 rows and chunks of 256 rows were within run-to-run spread.
 _PANEL = 128
 _LEAF = 16
 _CHUNK = 128
 
 
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x %= p in place; returns x.  `x` is int64, or float32 holding
+    integers in [-2^21, 2^21).  For float32 this is the offset floor
+    x -= p * floor(x * (1/p) + 0.5/p): the exact quotient plus the offset
+    lies at least 0.5/p from an integer, and in that range its three
+    roundings move it by under 0.375/p, so the floor is the true quotient
+    and every other step is exact."""
+    if x.dtype == np.float32:
+        q = x * np.float32(1 / p)
+        q += np.float32(0.5 / p)
+        np.floor(q, out=q)
+        q *= np.float32(p)
+        x -= q
+    else:
+        x %= p
+    return x
+
+
 def _matmul_exact(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """The exact integer product a @ b, unreduced, for int64 arrays with
-    entries in 0..p-1: float64 from BLAS while its sums provably stay
-    under 2^53, int64 arithmetic above that.  Subtract it from int64 rows
-    with :func:`_subtract`."""
+    """The exact integer product a @ b, unreduced, for arrays with entries
+    in 0..p-1.  Float32 operands come from a float32 :class:`RowReducer`,
+    whose bound keeps the sums under 2^21.  Int64 operands are multiplied
+    by float32 BLAS while the sums provably stay under 2^21, by float64
+    BLAS under 2^53, and in int64 arithmetic above that.  Subtract the
+    product from rows with :func:`_subtract`."""
+    if a.dtype == np.float32:
+        return a @ b
     if a.shape[1] == 0:
         return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     bound = a.shape[1] * (p - 1) ** 2
-    if bound < _FLOAT_EXACT_LIMIT:
+    if bound < _FLOAT32_EXACT_LIMIT:
+        return a.astype(np.float32) @ b.astype(np.float32)
+    if bound < _FLOAT64_EXACT_LIMIT:
         return a.astype(np.float64) @ b.astype(np.float64)
     if bound < _INT64_EXACT_LIMIT:
         return a @ b
@@ -67,19 +100,21 @@ def _matmul_exact(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def _subtract(rows: np.ndarray, prod: np.ndarray, p: int) -> None:
-    """rows = (rows - prod) % p in place, for int64 `rows` and an exact
-    product from :func:`_matmul_exact`.  A float64 product is subtracted
-    without an int64 copy: the difference is an integer under 2^53, so
-    the float arithmetic and the cast back are exact."""
+    """rows = (rows - prod) % p in place, for rows in a reducer's working
+    dtype and an exact product from :func:`_matmul_exact`.  A float
+    product is subtracted from int64 rows without an int64 copy: the
+    difference is an integer under 2^53, so the float arithmetic and the
+    cast back are exact."""
     np.subtract(rows, prod, out=rows, casting="unsafe")
-    rows %= p
+    _mod(rows, p)
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) % p for int64 arrays with entries in 0..p-1."""
-    prod = _matmul_exact(a, b, p).astype(np.int64, copy=False)
-    prod %= p
-    return prod
+    """Exact (a @ b) % p for int64 arrays with entries in 0..p-1, as int64."""
+    prod = _matmul_exact(a, b, p)
+    if prod.dtype == np.float64:
+        prod = prod.astype(np.int64)
+    return _mod(prod, p).astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,6 +190,12 @@ class RowReducer:
     the unique RREF basis of the row space seen so far.  The pivot rule
     is fixed (leftmost nonzero column wins) and never depends on the
     order in which rows arrive, by uniqueness of the RREF.
+
+    The basis is float32 while ``max(cols, 1) * (p-1)^2 < 2^21``: every
+    value the elimination makes (an entry minus a product of at most
+    ``cols`` terms, a row scaled by an inverse) is then an integer in
+    [-2^21, 2^21), where float32 and :func:`_mod` are exact.  Otherwise
+    it is int64.
     """
 
     def __init__(self, p: int, cols: int):
@@ -162,16 +203,18 @@ class RowReducer:
             raise ValueError(f"modulus must be prime, got {p}")
         if cols < 0:
             raise ValueError(f"cols must be nonnegative, got {cols}")
-        if max(cols, 1) * (p - 1) ** 2 >= _INT64_EXACT_LIMIT:
+        bound = max(cols, 1) * (p - 1) ** 2
+        if bound >= _INT64_EXACT_LIMIT:
             raise ValueError(
                 f"modulus {p} too large for exact elimination over {cols} columns: "
                 "need max(cols, 1) * (p-1)^2 < 2^62"
             )
         self.p = p
         self.cols = cols
-        # Growing basis matrix, its pivot column per row, and a mask of
-        # the pivot columns.
-        self._basis = np.zeros((0, cols), dtype=np.int64)
+        # Growing basis matrix in the working dtype, its pivot column per
+        # row, and a mask of the pivot columns.
+        dtype = np.float32 if bound < _FLOAT32_EXACT_LIMIT else np.int64
+        self._basis = np.zeros((0, cols), dtype=dtype)
         self._pivots: list[int] = []
         self._is_pivot = np.zeros(cols, dtype=bool)
 
@@ -188,19 +231,21 @@ class RowReducer:
             arr = arr[None, :]
         if arr.shape[1] != self.cols:
             raise ValueError(f"expected {self.cols} columns, got {arr.shape[1]}")
-        self._add_block(arr % self.p)
+        # Reduced in int64 first, so any integer input is safe to convert.
+        self._add_block((arr % self.p).astype(self._basis.dtype, copy=False))
 
     def basis_rows(self, start: int, stop: int) -> np.ndarray:
         """Read-only view of the RREF rows start..stop in the order they
-        joined the basis, valid until the next :meth:`add_rows`."""
+        joined the basis, in the working dtype, valid until the next
+        :meth:`add_rows`."""
         view = self._basis[start : min(stop, self.rank)]
         view.flags.writeable = False
         return view
 
     def echelon_rows(self) -> np.ndarray:
-        """The nonzero rows of the RREF, ordered by pivot column."""
+        """The nonzero rows of the RREF, ordered by pivot column, as int64."""
         order = np.argsort(np.asarray(self._pivots, dtype=np.int64))
-        return self._basis[: self.rank][order]
+        return self._basis[order].astype(np.int64, copy=False)
 
     def kernel_matrix(self) -> np.ndarray:
         """Canonical kernel basis, one row per free column, ascending.
@@ -214,7 +259,11 @@ class RowReducer:
         kernel = np.zeros((free.size, self.cols), dtype=np.int64)
         kernel[np.arange(free.size), free] = 1
         if pivots.size and free.size:
-            kernel[:, pivots] = (-self.echelon_rows()[:, free].T) % self.p
+            # The basis rows in pivot order, on the free columns only.
+            order = np.argsort(np.asarray(self._pivots, dtype=np.int64))
+            entries = self._basis[np.ix_(order, free)]
+            np.negative(entries, out=entries)
+            kernel[:, pivots] = _mod(entries, self.p).T
         return kernel
 
     # -- elimination -------------------------------------------------------
@@ -267,14 +316,14 @@ class RowReducer:
             j = int(nz[0])
             row = panel[i, j:]
             if row[0] != 1:
-                np.remainder(row * pow(int(row[0]), -1, self.p), self.p, out=row)
+                row *= pow(int(row[0]), -1, self.p)
+                _mod(row, self.p)
             hit = panel[:, j].nonzero()[0]
             if hit.size > 1:
                 hit = hit[hit != i]
                 sub = panel[hit, j:]
                 sub -= sub[:, :1] * row
-                sub %= self.p
-                panel[hit, j:] = sub
+                panel[hit, j:] = _mod(sub, self.p)
             found.append(i)
             pivots.append(j)
         return found, pivots
@@ -307,7 +356,7 @@ class RowReducer:
         stop = count + len(pivots)
         if stop > self._basis.shape[0]:
             capacity = min(max(64, 2 * self._basis.shape[0], stop), self.cols)
-            fresh = np.zeros((capacity, self.cols), dtype=np.int64)
+            fresh = np.zeros((capacity, self.cols), dtype=self._basis.dtype)
             fresh[:count] = self._basis[:count]
             self._basis = fresh
         self._basis[count:stop] = rows

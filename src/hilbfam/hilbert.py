@@ -71,13 +71,13 @@ def _validate_cap(arr: np.ndarray, p: int, cap: int) -> None:
 def _eval_rows(arr: np.ndarray, monomials: Sequence[Monomial], p: int, cap: int) -> np.ndarray:
     """Evaluate every monomial at every point of a row block.
 
-    At cap 1, one float64 product counts the monomial's variables that are
+    At cap 1, one float32 product counts the monomial's variables that are
     0 at the point (exact: counts are at most n); the value is count == 0.
     At cap p-1, one gather-multiply mod p per variable."""
     rows, n = arr.shape
     exps = np.array(monomials, dtype=np.int64).reshape(len(monomials), n)
     if cap == 1:
-        return ((1 - arr).astype(np.float64) @ exps.T.astype(np.float64) == 0).astype(np.int64)
+        return ((1 - arr).astype(np.float32) @ exps.T.astype(np.float32) == 0).astype(np.int64)
     # powers[:, i, e] = arr[:, i]^e mod p up to the largest exponent in use;
     # exact in int64, as callers' RowReducer refuses (p-1)^2 >= 2^62.
     powers = np.ones((rows, n, int(exps.max(initial=0)) + 1), dtype=np.int64)

@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 
 from hilbfam.gflinalg import (
     _CHUNK,
+    _FLOAT32_EXACT_LIMIT,
     _PANEL,
     FpMatrix,
     FpVector,
     RowReducer,
+    _matmul_exact,
+    _mod,
     kernel_basis,
     matmul_mod,
     rank_mod_p,
@@ -240,15 +243,22 @@ class TestMultiPanel:
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
     @pytest.mark.parametrize("kind", ["random", "low-rank", "repeated"])
     def test_matches_oracle_in_one_call_and_in_blocks(self, kind, p):
+        # Over 264 columns p <= 7 runs in float32 and p = 101 in int64;
+        # what the reducer returns is int64 either way.
         data = multi_panel_matrix(kind, p, seed=p)
         expected, expected_piv = oracle_rref(data.tolist(), p)
         for block in (data.shape[0], 37):
             red = reduce_in_blocks(data, p, block)
+            assert red.basis_rows(0, 1).dtype == (np.float32 if p <= 7 else np.int64)
             assert red.pivot_columns() == expected_piv
+            assert red.echelon_rows().dtype == np.int64
             assert red.echelon_rows().tolist() == expected[: len(expected_piv)]
             kernel = red.kernel_matrix()
+            assert kernel.dtype == np.int64
             assert kernel.shape == (data.shape[1] - red.rank, data.shape[1])
             assert not ((data @ kernel.T) % p).any()
+        vectors = kernel_basis(FpMatrix(p, data))
+        assert [list(v.values) for v in vectors] == kernel.tolist()
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
     @pytest.mark.parametrize("kind", ["low-rank", "repeated"])
@@ -309,14 +319,16 @@ class TestMultiPanel:
         assert red.pivot_columns() == expected_piv
         assert red.echelon_rows().tolist() == expected[: len(expected_piv)]
 
-    @pytest.mark.parametrize("p", [2, 3, 101])
+    @pytest.mark.parametrize("p", [2, 3, 101, 1009])
     @pytest.mark.parametrize("kind", ["low-rank", "repeated"])
     def test_basis_rows_join_in_arrival_order(self, kind, p):
+        # Over 90 columns p = 1009 runs in int64, the others in float32.
         data = multi_panel_matrix(kind, p, seed=40 + p, rows=2 * _PANEL + 20, cols=90)
         order, final = arrival_pivots(data, p)
         for block in (data.shape[0], 150, 37):
             red = reduce_in_blocks(data, p, block)
             rows = red.basis_rows(0, red.rank)
+            assert not rows.flags.writeable
             assert (rows != 0).argmax(axis=1).tolist() == order
             assert rows.tolist() == [final[c].tolist() for c in order]
 
@@ -463,7 +475,93 @@ class TestMatmulMod:
     def test_matches_integer_product(self, m, k):
         other = np.arange(m.cols * k).reshape(m.cols, k) % m.p
         expected = (m.data @ other) % m.p
-        assert matmul_mod(m.data, other, m.p).tolist() == expected.tolist()
+        result = matmul_mod(m.data, other, m.p)
+        assert result.dtype == np.int64
+        assert result.tolist() == expected.tolist()
+
+    # (p, k, tier): k * (p-1)^2 just under and just over 2^21, 2^53 and
+    # 2^62, so each product tier meets all-(p-1) operands at its largest
+    # sum.
+    @pytest.mark.parametrize(
+        "p, k, tier",
+        [(101, 209, np.float32), (101, 210, np.float64),
+         (1447, 1, np.float32), (1447, 2, np.float64),
+         (67108859, 2, np.float64), (67108859, 3, np.int64),
+         (1518500213, 2, np.int64)],
+    )
+    def test_each_side_of_every_tier_boundary(self, p, k, tier):
+        rng = np.random.default_rng(k)
+        a = np.vstack([np.full((2, k), p - 1), rng.integers(0, p, (2, k))])
+        b = np.hstack([np.full((k, 2), p - 1), rng.integers(0, p, (k, 2))])
+        assert _matmul_exact(a, b, p).dtype == tier
+        expected = (a.astype(object) @ b.astype(object)) % p
+        result = matmul_mod(a, b, p)
+        assert result.dtype == np.int64
+        assert result.tolist() == expected.tolist()
+
+    def test_beyond_the_int64_tier_refused(self):
+        p = 1518500213
+        assert 3 * (p - 1) ** 2 >= 2**62
+        with pytest.raises(ValueError, match="too large"):
+            matmul_mod(np.ones((1, 3), dtype=np.int64), np.ones((3, 1), dtype=np.int64), p)
+
+
+class TestFloat32Path:
+    """The float32 working dtype, at and around its bound 2^21."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 1447])
+    def test_mod_exact_on_the_whole_admitted_range(self, p):
+        # 1447 is the largest prime with (p-1)^2 < 2^21, so the largest
+        # the bound admits at one column.
+        assert (p - 1) ** 2 < _FLOAT32_EXACT_LIMIT == 2**21
+        x = np.arange(-(2**21), 2**21, dtype=np.int64)
+        assert np.array_equal(_mod(x.astype(np.float32), p), x % p)
+        assert np.array_equal(_mod(x.copy(), p), x % p)
+
+    # (p, cols): cols * (p-1)^2 just under 2^21, where the reducer works
+    # in float32, and just over, where it works in int64 (with float64
+    # products); p = 1009 at 200 columns is well over.
+    @pytest.mark.parametrize(
+        "p, cols, dtype",
+        [(1447, 1, np.float32), (1447, 2, np.int64),
+         (307, 22, np.float32), (307, 23, np.int64),
+         (101, 209, np.float32), (101, 210, np.int64),
+         (1009, 200, np.int64)],
+    )
+    def test_reducer_on_each_side_of_the_bound(self, p, cols, dtype):
+        assert (cols * (p - 1) ** 2 < 2**21) == (dtype is np.float32)
+        data = bound_matrix(p, cols, seed=cols)
+        expected, expected_piv = oracle_rref(data.tolist(), p)
+        for rows in (data, data[::-1]):
+            for block in (rows.shape[0], 37):
+                red = reduce_in_blocks(rows, p, block)
+                assert red.basis_rows(0, 1).dtype == dtype
+                assert red.pivot_columns() == expected_piv
+                assert red.echelon_rows().tolist() == expected[: len(expected_piv)]
+                kernel = red.kernel_matrix()
+                assert kernel.dtype == np.int64
+                assert not ((data @ kernel.T) % p).any()
+        if cols <= 23:
+            sympy = pytest.importorskip("sympy")
+            from sympy.polys.matrices import DomainMatrix
+
+            assert red.rank == DomainMatrix.from_list(data.tolist(), sympy.GF(p)).rank()
+
+    def test_large_integer_input_reduced_before_conversion(self):
+        # The row is (2, 2, 2) mod 3; float32 would round 2^40 + 1 to 2^40.
+        red = RowReducer(3, 3)
+        red.add_rows([[2**40 + 1, -(2**40), 3**30 + 2]])
+        assert red.echelon_rows().tolist() == [[1, 1, 1]]
+
+
+def bound_matrix(p, cols, seed):
+    """Rows that drive the products to their largest sums: RREF rows that
+    are p-1 on every free column, all-(p-1) rows, whose coefficient on
+    every pivot is then p-1, and a few seeded random rows."""
+    rng = np.random.default_rng(seed)
+    k = max(cols - 2, 1)
+    head = np.hstack([np.eye(k, dtype=np.int64), np.full((k, cols - k), p - 1)])
+    return np.vstack([head, np.full((4, cols), p - 1), rng.integers(0, p, (6, cols))])
 
 
 class TestValidation:
