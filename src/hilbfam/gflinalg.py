@@ -29,6 +29,12 @@ FFLAS-FFPACK, reduced by :func:`_mod`; otherwise the basis is int64, and
 products are exact in float64 BLAS while their sums stay under 2^53 and
 in int64 arithmetic under 2^62.  :class:`RowReducer` refuses larger
 fields.  What the reducer returns is int64 either way.
+
+A bool block, the form cap-1 evaluation rows arrive in, is already
+reduced (0 and 1 lie in 0..p-1 for every p) and is converted once,
+straight to the working dtype; any other input is reduced with int64
+``% p`` first.  :meth:`RowReducer.add_basis_images` feeds permuted basis
+rows, which are reduced and in the working dtype already.
 """
 
 from __future__ import annotations
@@ -78,25 +84,34 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
+def product_dtype(k: int, p: int) -> type:
+    """The dtype :func:`matmul_mod` multiplies in at inner dimension `k`:
+    float32 while k * (p-1)^2 < 2^21, float64 under 2^53 and int64 under
+    2^62.  A caller that multiplies many blocks by one matrix converts
+    that matrix to this dtype once."""
+    bound = k * (p - 1) ** 2
+    if bound < _FLOAT32_EXACT_LIMIT:
+        return np.float32
+    if bound < _FLOAT64_EXACT_LIMIT:
+        return np.float64
+    if bound < _INT64_EXACT_LIMIT:
+        return np.int64
+    raise ValueError(f"modulus {p} too large for exact matmul at this size")
+
+
 def _matmul_exact(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """The exact integer product a @ b, unreduced, for arrays with entries
-    in 0..p-1.  Float32 operands come from a float32 :class:`RowReducer`,
-    whose bound keeps the sums under 2^21.  Int64 operands are multiplied
-    by float32 BLAS while the sums provably stay under 2^21, by float64
-    BLAS under 2^53, and in int64 arithmetic above that.  Subtract the
-    product from rows with :func:`_subtract`."""
+    in 0..p-1 (bool counts as 0/1).  Float32 operands come from a float32
+    :class:`RowReducer`, whose bound keeps the sums under 2^21.  Other
+    operands are converted to :func:`product_dtype` of the inner
+    dimension, those already in it without a copy.  Subtract the product
+    from rows with :func:`_subtract`."""
     if a.dtype == np.float32:
         return a @ b
     if a.shape[1] == 0:
         return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    bound = a.shape[1] * (p - 1) ** 2
-    if bound < _FLOAT32_EXACT_LIMIT:
-        return a.astype(np.float32) @ b.astype(np.float32)
-    if bound < _FLOAT64_EXACT_LIMIT:
-        return a.astype(np.float64) @ b.astype(np.float64)
-    if bound < _INT64_EXACT_LIMIT:
-        return a @ b
-    raise ValueError(f"modulus {p} too large for exact matmul at this size")
+    dtype = product_dtype(a.shape[1], p)
+    return a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
 
 
 def _subtract(rows: np.ndarray, prod: np.ndarray, p: int) -> None:
@@ -110,7 +125,8 @@ def _subtract(rows: np.ndarray, prod: np.ndarray, p: int) -> None:
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) % p for int64 arrays with entries in 0..p-1, as int64."""
+    """Exact (a @ b) % p, as int64, for arrays with entries in 0..p-1: int64
+    or bool, or already in :func:`product_dtype` of the inner dimension."""
     prod = _matmul_exact(a, b, p)
     if prod.dtype == np.float64:
         prod = prod.astype(np.int64)
@@ -226,18 +242,31 @@ class RowReducer:
         return tuple(sorted(self._pivots))
 
     def add_rows(self, rows) -> None:
-        arr = np.asarray(rows, dtype=np.int64)
+        """Bring a row, or a block of rows, into the basis.  A bool block
+        is 0/1 and so already reduced; anything else is reduced with int64
+        ``% p`` first, so any integer input is safe to convert."""
+        arr = np.asarray(rows)
+        if arr.dtype != np.bool_:
+            arr = np.asarray(rows, dtype=np.int64) % self.p
         if arr.ndim == 1:
             arr = arr[None, :]
         if arr.shape[1] != self.cols:
             raise ValueError(f"expected {self.cols} columns, got {arr.shape[1]}")
-        # Reduced in int64 first, so any integer input is safe to convert.
-        self._add_block((arr % self.p).astype(self._basis.dtype, copy=False))
+        # One conversion to a fresh C-contiguous block in the working dtype.
+        self._add_block(np.ascontiguousarray(arr, dtype=self._basis.dtype))
+
+    def add_basis_images(self, start: int, stop: int, perms: list[np.ndarray]) -> None:
+        """Bring in ``row[perm]`` for every basis row start..stop, in the
+        order the rows joined the basis, and every column permutation in
+        `perms`: all of the first permutation's images, then the next's.
+        The rows are reduced and in the working dtype already."""
+        rows = self._basis[start : min(stop, self.rank)]
+        self._add_block(np.concatenate([rows[:, perm] for perm in perms]))
 
     def basis_rows(self, start: int, stop: int) -> np.ndarray:
         """Read-only view of the RREF rows start..stop in the order they
-        joined the basis, in the working dtype, valid until the next
-        :meth:`add_rows`."""
+        joined the basis, in the working dtype, valid until rows are next
+        added."""
         view = self._basis[start : min(stop, self.rank)]
         view.flags.writeable = False
         return view

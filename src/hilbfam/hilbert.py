@@ -5,7 +5,9 @@ points and whose columns are the reduced monomials of degree at most m
 (exponent cap 1 for 0/1 point sets, p-1 in general; both caps preserve
 values pointwise, so the reduced columns span the full degree-<= m
 function space).  Its rows are whole-array products over the monomials'
-exponent matrix (see :func:`_eval_rows`).  Every question is one
+exponent matrix, built once per feed (see :func:`_eval_rows`); cap-1
+rows are bool, which the reducer takes as already reduced and converts
+once, straight to its working dtype.  Every question is one
 elimination through the incremental reducer, fed in blocks of at most
 ``_BLOCK_ROWS`` rows so the matrix is never materialized:
 
@@ -68,22 +70,23 @@ def _validate_cap(arr: np.ndarray, p: int, cap: int) -> None:
         raise ValueError("exponent cap 1 requires 0/1-valued points")
 
 
-def _eval_rows(arr: np.ndarray, monomials: Sequence[Monomial], p: int, cap: int) -> np.ndarray:
-    """Evaluate every monomial at every point of a row block.
+def _eval_rows(arr: np.ndarray, exps: np.ndarray, p: int, cap: int) -> np.ndarray:
+    """Evaluate every monomial, one int64 row of exponents each in `exps`,
+    at every point of a row block.
 
     At cap 1, one float32 product counts the monomial's variables that are
-    0 at the point (exact: counts are at most n); the value is count == 0.
-    At cap p-1, one gather-multiply mod p per variable."""
+    0 at the point (exact: counts are at most n); the value is count == 0,
+    returned as bool.  At cap p-1, one gather-multiply mod p per variable,
+    returned as int64."""
     rows, n = arr.shape
-    exps = np.array(monomials, dtype=np.int64).reshape(len(monomials), n)
     if cap == 1:
-        return ((1 - arr).astype(np.float32) @ exps.T.astype(np.float32) == 0).astype(np.int64)
+        return (1 - arr).astype(np.float32) @ exps.T.astype(np.float32) == 0
     # powers[:, i, e] = arr[:, i]^e mod p up to the largest exponent in use;
     # exact in int64, as callers' RowReducer refuses (p-1)^2 >= 2^62.
     powers = np.ones((rows, n, int(exps.max(initial=0)) + 1), dtype=np.int64)
     for e in range(1, powers.shape[2]):
         powers[:, :, e] = powers[:, :, e - 1] * arr % p
-    out = np.ones((rows, len(monomials)), dtype=np.int64)
+    out = np.ones((rows, exps.shape[0]), dtype=np.int64)
     for i in range(n):
         out *= np.take(powers[:, i], exps[:, i], axis=1)
         out %= p
@@ -91,8 +94,9 @@ def _eval_rows(arr: np.ndarray, monomials: Sequence[Monomial], p: int, cap: int)
 
 
 def _feed_points(red: RowReducer, arr: np.ndarray, monos: Sequence[Monomial], p: int, cap: int) -> None:
+    exps = np.array(monos, dtype=np.int64)
     for start in range(0, arr.shape[0], _BLOCK_ROWS):
-        red.add_rows(_eval_rows(arr[start : start + _BLOCK_ROWS], monos, p, cap))
+        red.add_rows(_eval_rows(arr[start : start + _BLOCK_ROWS], exps, p, cap))
 
 
 def _feed_family(
@@ -129,11 +133,11 @@ def _feed_family(
     ]
     seeds = (np.arange(n) < np.array(sizes)[:, None]).astype(np.int64)
     done = red.rank
-    red.add_rows(_eval_rows(seeds, monos, red.p, 1))
+    red.add_rows(_eval_rows(seeds, np.array(monos, dtype=np.int64), red.p, 1))
     while done < red.rank:
-        rows = red.basis_rows(done, done + _BLOCK_ROWS // 2)
-        done += rows.shape[0]
-        red.add_rows(np.concatenate([rows[:, perm] for perm in perms]))
+        stop = min(done + _BLOCK_ROWS // 2, red.rank)
+        red.add_basis_images(done, stop, perms)
+        done = stop
 
 
 def _reduce_points(points: Sequence[Point], m: int, p: int, cap: int) -> tuple[RowReducer, tuple[Monomial, ...]]:
@@ -163,8 +167,9 @@ def hilbert_series(points: Sequence[Point], p: int, cap: int) -> tuple[int, ...]
     fed = 0
     for m in range(n * cap + 1):
         monos = monomials_upto(n, m, cap)
-        for start in range(fed, len(monos), _BLOCK_ROWS):
-            red.add_rows(_eval_rows(arr, monos[start : start + _BLOCK_ROWS], p, cap).T)
+        exps = np.array(monos[fed:], dtype=np.int64)
+        for start in range(0, len(exps), _BLOCK_ROWS):
+            red.add_rows(_eval_rows(arr, exps[start : start + _BLOCK_ROWS], p, cap).T)
         fed = len(monos)
         values.append(red.rank)
         if red.rank == len(arr):

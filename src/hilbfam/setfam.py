@@ -193,8 +193,12 @@ def family_sizes(n: int, d: int, q: int | None = None, cap: int | None = None) -
 
 
 def _members(n: int, sizes: Iterable[int]) -> list[tuple[int, ...]]:
-    """Sorted member tuples of every subset of [n] whose size is in sizes."""
-    return sorted(c for k in sizes for c in combinations(range(1, n + 1), k))
+    """Sorted member tuples of every subset of [n] whose size is in sizes.
+    One size's combinations come in sorted order already; only merging
+    several sizes needs the sort."""
+    sizes = tuple(sizes)
+    members = [c for k in sizes for c in combinations(range(1, n + 1), k)]
+    return members if len(sizes) < 2 else sorted(members)
 
 
 def level_points(n: int, sizes: Iterable[int]) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import hilbert
-from .gflinalg import matmul_mod
+from .gflinalg import matmul_mod, product_dtype
 from .hilbert import (  # noqa: F401  (kernel_matrix stays importable from here)
     _eval_rows,
     _points_array,
@@ -97,16 +97,19 @@ def _vanishing_witness(
 
     Scans points in their given order, in blocks of the hilbert module's
     ``_BLOCK_ROWS`` points, and kernel rows in basis order, so the witness
-    is deterministic.
+    is deterministic.  The exponent matrix and the kernel, in the product
+    dtype, are built once; each block's evaluation rows (bool at cap 1)
+    are converted only for their product.
     """
     if kernel.shape[0] == 0:
         return None
     arr = _points_array(points, p)
-    kt = kernel.T.copy()
+    exps = np.array(monomials, dtype=np.int64)
+    kt = np.ascontiguousarray(kernel.T, dtype=product_dtype(kernel.shape[1], p))
     step = hilbert._BLOCK_ROWS
     for start in range(0, arr.shape[0], step):
         block = arr[start : start + step]
-        values = matmul_mod(_eval_rows(block, monomials, p, cap), kt, p)
+        values = matmul_mod(_eval_rows(block, exps, p, cap), kt, p)
         hits = np.argwhere(values)
         if hits.size:
             i, j = (int(v) for v in hits[0])

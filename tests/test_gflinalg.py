@@ -554,6 +554,68 @@ class TestFloat32Path:
         assert red.echelon_rows().tolist() == [[1, 1, 1]]
 
 
+def zero_one_matrix(seed, rows=3 * _PANEL + 20, cols=2 * _PANEL + 8):
+    """Seeded bool matrix over more than three panels; its columns repeat
+    200 random ones, so it has a kernel."""
+    rng = np.random.default_rng(seed)
+    base = rng.random((rows, 200)) < 0.3
+    return base[:, rng.integers(0, 200, cols)]
+
+
+class TestBoolInput:
+    """A bool block is 0/1, so the reducer takes it as reduced and converts
+    it once; it must answer as the same block given in int64."""
+
+    @staticmethod
+    def check_same(data, p, block, dtype):
+        as_bool = reduce_in_blocks(data, p, block)
+        as_int = reduce_in_blocks(data.astype(np.int64), p, block)
+        assert as_bool.basis_rows(0, 1).dtype == dtype
+        assert as_bool.pivot_columns() == as_int.pivot_columns()
+        assert np.array_equal(as_bool.echelon_rows(), as_int.echelon_rows())
+        kernel = as_bool.kernel_matrix()
+        assert kernel.shape[0] > 0
+        assert np.array_equal(kernel, as_int.kernel_matrix())
+        assert not ((data.astype(np.int64) @ kernel.T) % p).any()
+
+    # Over 264 columns p = 1009 runs in int64, the others in float32.
+    @pytest.mark.parametrize("p, dtype", [(2, np.float32), (7, np.float32), (1009, np.int64)])
+    def test_bool_block_matches_int64_block(self, p, dtype):
+        data = zero_one_matrix(seed=p)
+        assert data.dtype == np.bool_
+        before = data.copy()
+        for block in (data.shape[0], 37):
+            self.check_same(data, p, block, dtype)
+        assert np.array_equal(data, before)
+
+    @pytest.mark.parametrize("p, dtype", [(3, np.float32), (1009, np.int64)])
+    def test_transposed_bool_block(self, p, dtype):
+        # As hilbert_series feeds: monomial rows over point columns.
+        data = zero_one_matrix(seed=20 + p, rows=2 * _PANEL + 8, cols=3 * _PANEL + 20)
+        data = np.ascontiguousarray(data).T
+        assert not data.flags.c_contiguous
+        self.check_same(data, p, data.shape[0], dtype)
+
+    @pytest.mark.parametrize("p", [3, 1009])
+    def test_basis_images_match_feeding_the_permuted_rows(self, p):
+        # Over 90 columns p = 1009 runs in int64, p = 3 in float32.
+        data = multi_panel_matrix("low-rank", p, seed=50 + p, cols=90)
+        rng = np.random.default_rng(p)
+        perms = [rng.permutation(90), rng.permutation(90)]
+        images, fed = reduce_in_blocks(data, p, 150), reduce_in_blocks(data, p, 150)
+        rank = fed.rank
+        # Few enough images that the rank stays short of the 90 columns, so
+        # the RREF depends on which rows came in; the second range runs
+        # past the rank, where both stop.
+        for start, stop in ((0, 3), (rank - 2, rank + 100)):
+            rows = fed.basis_rows(start, stop).astype(np.int64)
+            fed.add_rows(np.concatenate([rows[:, perm] for perm in perms]))
+            images.add_basis_images(start, stop, perms)
+            assert images.pivot_columns() == fed.pivot_columns()
+            assert np.array_equal(images.echelon_rows(), fed.echelon_rows())
+        assert rank < images.rank < data.shape[1]
+
+
 def bound_matrix(p, cols, seed):
     """Rows that drive the products to their largest sums: RREF rows that
     are p-1 on every free column, all-(p-1) rows, whose coefficient on

@@ -81,7 +81,7 @@ def oracle_hilbert(points, m, p, cap=1):
 def eval_rows(points, m, p, cap):
     arr = np.asarray(points, dtype=np.int64)
     monos = monomials_upto(arr.shape[1], m, cap)
-    return _eval_rows(arr, monos, p, cap), monos
+    return _eval_rows(arr, np.array(monos, dtype=np.int64), p, cap), monos
 
 
 class TestEvaluationMatrix:
@@ -115,6 +115,7 @@ class TestEvaluationMatrix:
     def test_power_path_matches_pow(self, p, n, m, rng):
         points = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(4)]
         data, monos = eval_rows(points, m, p, p - 1)
+        assert data.dtype == np.int64
         expected = [
             [math.prod(pow(x, e, p) for x, e in zip(pt, mono)) % p for mono in monos]
             for pt in points
@@ -129,12 +130,13 @@ def pow_reference(points, monos, p):
 
 class TestCapOneProduct:
     """The cap-1 path evaluates by one product over the exponent matrix;
-    it must match term-by-term evaluation at any number of variables."""
+    it must match term-by-term evaluation at any number of variables, and
+    hand the 0/1 values on as bool, which the reducer takes as reduced."""
 
     @staticmethod
     def check(points, m, p):
         data, monos = eval_rows(points, m, p, 1)
-        assert data.dtype == np.int64
+        assert data.dtype == np.bool_
         assert data.tolist() == pow_reference(points, monos, p)
         # A block of one row answers as that row of the full block.
         one, _ = eval_rows(points[:1], m, p, 1)
@@ -542,13 +544,18 @@ class TestSpinning:
 
     def test_spinning_feeds_a_seed_and_two_images_per_basis_row(self, monkeypatch):
         fed = []
-        real = RowReducer.add_rows
+        real, real_images = RowReducer.add_rows, RowReducer.add_basis_images
 
         def counting(red, rows):
             fed.append(len(rows))
             return real(red, rows)
 
+        def counting_images(red, start, stop, perms):
+            fed.append(len(perms) * (min(stop, red.rank) - start))
+            return real_images(red, start, stop, perms)
+
         monkeypatch.setattr(RowReducer, "add_rows", counting)
+        monkeypatch.setattr(RowReducer, "add_basis_images", counting_images)
         kernel, monos, h = family_kernel(16, 8, 3, 2)
         assert h == len(monos) - len(kernel) == binomial(16, 3)
         assert sum(fed) == 1 + 2 * h

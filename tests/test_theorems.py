@@ -2,6 +2,7 @@
 
 import json
 from itertools import combinations, product
+from math import prod
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hilbfam import hilbert, theorems
-from hilbfam.hilbert import hilbert_value, modq_value, nested_kernel, wilson_value
+from hilbfam.hilbert import hilbert_value, modq_value, nested_kernel, vector_to_polynomial, wilson_value
+from hilbfam.poly import monomials_upto
 from hilbfam.setfam import (
     EnumerationCapError,
     family_points,
@@ -363,6 +365,47 @@ class TestWitnessMachinery:
         kernel = np.array([[1, 0, 0]])
         witness = _vanishing_witness(kernel, monos, [(0, 0), (1, 1)], 2, 1)
         assert witness == {"polynomial": "1", "point": [0, 0], "value": 1}
+
+    @pytest.mark.parametrize("p", [3, 1009])
+    def test_first_pair_past_the_first_block_and_the_first_row(self, p):
+        # The odd-size subsets of [13], 4096 points over two scan blocks;
+        # the first block is every subset holding 1.  Each kernel row is
+        # c * (1 - x1) * x_k, zero on the first block: row 0 (k = 13) is
+        # nonzero first at a later point than rows 1 and 2 (k = 3, 4),
+        # which both are at {2, 3, 4}, so the witness is row 1 there.
+        # p = 1009 multiplies in float64, p = 3 in float32.
+        n, m = 13, 2
+        points = family_points(n, 1, 2)
+        assert len(points) > hilbert._BLOCK_ROWS
+        monos = monomials_upto(n, m, 1)
+        column = {mono: j for j, mono in enumerate(monos)}
+
+        def unit(*coords):
+            return column[tuple(int(i in coords) for i in range(1, n + 1))]
+
+        kernel = np.zeros((3, len(monos)), dtype=np.int64)
+        for row, (k, c) in enumerate([(13, 1), (3, 2), (4, p - 1)]):
+            kernel[row, unit(k)] = c
+            kernel[row, unit(1, k)] = -c % p
+        witness = _vanishing_witness(kernel, monos, points, p, 1)
+
+        expected = None
+        for i, pt in enumerate(points.tolist()):
+            for j, row in enumerate(kernel.tolist()):
+                terms = (c * prod(pow(x, e, p) for x, e in zip(pt, mono)) for c, mono in zip(row, monos) if c)
+                value = sum(terms) % p
+                if value:
+                    expected = (i, j, {
+                        "polynomial": str(vector_to_polynomial(kernel[j], monos, p)),
+                        "point": pt,
+                        "value": value,
+                    })
+                    break
+            if expected:
+                break
+        i, j, body = expected
+        assert i >= hilbert._BLOCK_ROWS and j == 1
+        assert witness == body
 
     def test_empty_kernel_has_no_witness(self):
         kernel = np.zeros((0, 3), dtype=np.int64)
