@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Sequence
+from itertools import chain, combinations, islice
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -28,8 +28,8 @@ from .setfam import (
     Subset,
     char_vector,
     enumeration_cap,
-    family_points,
     is_prime,
+    level_points,
 )
 from .theorems import (
     CLAIM_MAIN3,
@@ -40,10 +40,31 @@ from .theorems import (
     _elapsed_ms,
 )
 
-# Entries of one chunk of the candidate x d-subset intersection product.
-# Each entry takes 12 bytes (float32 product, intp copy); at 1 << 20 the
-# n = 10 searches peaked 2.5 MiB higher, and n = 14 ran no faster.
+# Entries of one block of the member x k-subset intersection product.
+# Each entry takes 5 bytes (float32 count, bool hit); at 1 << 20 the
+# n = 10 searches peaked 1 MiB higher under tracemalloc.
 _COVER_CHUNK = 1 << 16
+
+
+def _intersection_counts(n: int, k: int, members: np.ndarray) -> Iterator[tuple]:
+    """Blocks of (0-based members of k-subsets S of [n] in combinations
+    order, |g & S| with one row per row g of the 0/1 array members), each
+    one float32 product, exact as counts are at most n.  Every block but
+    the last holds a multiple of 8 subsets, so bits packed per block join up."""
+    rows = np.asarray(members, dtype=np.float32).reshape(-1, n)
+    width = max(8, _COVER_CHUNK // max(1, len(rows)) // 8 * 8)
+    combos = combinations(range(n), k)
+    while True:
+        idx = np.fromiter(chain.from_iterable(islice(combos, width)), np.intp).reshape(-1, k)
+        if not len(idx):
+            return
+        cols = np.zeros((n, len(idx)), dtype=np.float32)
+        cols[idx, np.arange(len(idx))[:, None]] = 1
+        yield idx, rows @ cols
+
+
+def _subset(idx: np.ndarray) -> Subset:
+    return Subset(tuple((idx + 1).tolist()))
 
 
 @dataclass(frozen=True)
@@ -87,12 +108,10 @@ def is_balancing(inst: BalancingInstance) -> tuple[bool, Subset | None]:
 
     On failure returns the lexicographically first uncovered d-subset.
     """
-    masks = inst.family.masks()
-    targets = set(inst.L)
-    for combo in combinations(range(1, inst.n + 1), inst.d):
-        fmask = sum(1 << (i - 1) for i in combo)
-        if not any((fmask & g).bit_count() in targets for g in masks):
-            return False, Subset(combo)
+    for idx, counts in _intersection_counts(inst.n, inst.d, inst.family.points()):
+        uncovered = np.flatnonzero(~np.isin(counts, inst.L).any(axis=0))
+        if len(uncovered):
+            return False, _subset(idx[uncovered[0]])
     return True, None
 
 
@@ -152,19 +171,18 @@ def check_lower_bound(inst: BalancingInstance, p: int) -> VerificationReport:
             wall_time_ms=_elapsed_ms(start),
         )
     m, s, n = inst.size, inst.s, inst.n
-    # The certificate factored: one (member mask, l) pair per affine form.
-    # Its value at a 0/1 point F is the product of (|F & g| - l) mod p.
-    factors = [(g.bitmask, ell) for g in inst.family.sets for ell in inst.L]
+    members = inst.family.points()
 
-    def value_at(fmask: int) -> int:
-        value = 1
-        for gmask, ell in factors:
-            value = value * ((fmask & gmask).bit_count() - ell) % p
-            if not value:
-                break
+    def values(counts: np.ndarray) -> np.ndarray:
+        # The certificate factored: one affine form per (member g, l); its
+        # value at a 0/1 point F is the product of (|F & g| - l) mod p.
+        value = np.ones(counts.shape[1], dtype=np.int64)
+        for ell in inst.L:
+            for row in counts.astype(np.int64):
+                value = value * ((row - ell) % p) % p
         return value
 
-    origin_value = value_at(0)
+    origin_value = int(values(np.zeros((m, 1)))[0])
     # Each affine factor contributes -l at the origin, so the exact value
     # is (prod of -l)^m; nonzero because every l lies in 1..p-1.
     expected_origin = 1
@@ -174,19 +192,19 @@ def check_lower_bound(inst: BalancingInstance, p: int) -> VerificationReport:
     # F_p[x] is an integral domain and every factor is nonzero (l lies in
     # 1..p-1), so the expansion's degree is the number of factors with a
     # nonzero linear part: those of the nonempty members.
-    degree = sum(1 for gmask, _ in factors if gmask)
+    degree = s * sum(map(any, members))
     bound_ok = 2 * s * m >= n
     deg_ok = degree <= m * s
     origin_ok = origin_value == expected_origin and origin_value != 0
     vanish_witness = None
-    for combo in combinations(range(1, n + 1), p):
-        subset = Subset(combo)
-        value = value_at(subset.bitmask)
-        if value:
+    for idx, counts in _intersection_counts(n, p, members):
+        value = values(counts)
+        nonzero = np.flatnonzero(value)
+        if len(nonzero):
             vanish_witness = {
                 "polynomial": str(witness_poly(inst, p)),
-                "point": list(char_vector(subset, n)),
-                "value": value,
+                "point": list(char_vector(_subset(idx[nonzero[0]]), n)),
+                "value": int(value[nonzero[0]]),
             }
             break
     metrics = {
@@ -235,25 +253,22 @@ class SearchResult:
         }
 
 
-def _coverage_bitmaps(pool: Sequence[Subset], n: int, targets: Sequence[int]) -> list[int]:
-    """Bit i of a candidate's bitmap: it meets the i-th d-subset of [n], in
-    combinations order, in a size from targets.
-
-    Built in row chunks of one float32 product, exact because every
-    intersection count is at most n.
-    """
-    masks = np.array([g.bitmask for g in pool], dtype=np.int64)
-    cand_pts = ((masks[:, None] >> np.arange(n)) & 1).astype(np.float32)
-    d_cols = family_points(n, n // 2).T.astype(np.float32)
-    in_L = np.zeros(n + 1, dtype=bool)
-    in_L[list(targets)] = True
-    bitmaps: list[int] = []
-    rows = max(1, _COVER_CHUNK // d_cols.shape[1])
-    for lo in range(0, len(pool), rows):
-        hits = in_L[(cand_pts[lo:lo + rows] @ d_cols).astype(np.intp)]
-        packed = np.packbits(hits, axis=1, bitorder="little")
-        bitmaps.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
-    return bitmaps
+def _coverage_bitmaps(points: np.ndarray, n: int, targets: Sequence[int]) -> np.ndarray:
+    """Coverage bitmaps of the rows of points, packed little-endian into one
+    uint8 row each: bit i says the row meets the i-th d-subset of [n], in
+    combinations order, in a size from targets."""
+    packed = np.empty((len(points), -(-math.comb(n, n // 2) // 8)), dtype=np.uint8)
+    start = 0
+    for _, counts in _intersection_counts(n, n // 2, points):
+        hits = np.isin(counts, targets)
+        width = -(-hits.shape[1] // 8)
+        # Packed flat when rows fill whole bytes: packbits along rows of a
+        # few bytes costs more than the product.
+        axis = None if hits.shape[1] % 8 == 0 else 1
+        packed[:, start:start + width] = np.packbits(
+            hits, axis=axis, bitorder="little").reshape(-1, width)
+        start += width
+    return packed
 
 
 def min_balancing_size(
@@ -282,41 +297,52 @@ def min_balancing_size(
     if candidates is None:
         if 2**n - 2 > enumeration_cap():
             raise EnumerationCapError(f"candidate pool 2^{n}-2 exceeds cap")
-        pool = sorted(
-            Subset(c) for k in range(1, n) for c in combinations(range(1, n + 1), k)
-        )
     else:
         pool = sorted(set(candidates))
         for g in pool:
             if not g.members or len(g.members) == n or g.members[-1] > n:
                 raise ValueError(f"candidate {g} must be a nonempty proper subset of [{n}]")
+    pool_size = 2**n - 2 if candidates is None else len(pool)
     n_d = math.comb(n, d)
-    words = len(pool) * -(-n_d // 64)
+    words = pool_size * -(-n_d // 64)
     if max(n_d, words) > enumeration_cap():
         raise EnumerationCapError(
-            f"{n_d} d-subsets, coverage bitmaps of {len(pool)} candidates in "
+            f"{n_d} d-subsets, coverage bitmaps of {pool_size} candidates in "
             f"{words} 64-bit words; cap is {enumeration_cap()}"
         )
-    entries = list(zip(pool, _coverage_bitmaps(pool, n, targets)))
+    # One 0/1 row per candidate, in sorted Subset order.
+    points = (level_points(n, range(1, n)) if candidates is None
+              else np.array([char_vector(g, n) for g in pool], dtype=np.int64))
+    packed = _coverage_bitmaps(points, n, targets)
+    bitmaps = [int.from_bytes(row.tobytes(), "little") for row in packed]
     full = (1 << n_d) - 1
-    # Branches at the i-th d-subset: the candidates covering it, in pool
-    # order, listed the first time the search stops there.
-    branches: dict[int, list[tuple[Subset, int]]] = {}
+    # Branches at the i-th d-subset: the rows covering it and their
+    # bitmaps, in pool order, listed the first time the search stops there.
+    branches: dict[int, tuple[list[int], list[int]]] = {}
 
     explored = 0
 
-    def dfs(covered: int, members: list[Subset], depth_left: int) -> list[Subset] | None:
+    def dfs(covered: int, members: list[int], depth_left: int) -> list[int] | None:
         nonlocal explored
         explored += 1
         if covered == full:
             return list(members)
-        if depth_left == 0:
-            return None
         missing = (~covered & (covered + 1)).bit_length() - 1
         options = branches.get(missing)
         if options is None:
-            options = branches[missing] = [e for e in entries if e[1] >> missing & 1]
-        for g, bitmap in options:
+            rows = np.flatnonzero(packed[:, missing >> 3] >> (missing & 7) & 1).tolist()
+            options = branches[missing] = (rows, [bitmaps[g] for g in rows])
+        rows, masks = options
+        if depth_left == 1:
+            # Each child covers everything or is a dead leaf: count those up to the first.
+            need = full ^ covered
+            for i, bitmap in enumerate(masks):
+                if bitmap & need == need:
+                    explored += i + 1
+                    return members + [rows[i]]
+            explored += len(masks)
+            return None
+        for g, bitmap in zip(rows, masks):
             members.append(g)
             found = dfs(covered | bitmap, members, depth_left - 1)
             members.pop()
@@ -327,6 +353,6 @@ def min_balancing_size(
     for k in range(1, size_limit + 1):
         found = dfs(0, [], k)
         if found is not None:
-            family = SetFamily(n, tuple(found))
+            family = SetFamily(n, tuple(_subset(np.flatnonzero(points[g])) for g in found))
             return SearchResult(k, family, explored, False)
     return SearchResult(None, None, explored, True)

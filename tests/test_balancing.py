@@ -5,8 +5,9 @@ import time
 from itertools import combinations, product
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hilbfam import balancing
@@ -378,10 +379,99 @@ class TestSearch:
             sum(1 << i for i, dm in enumerate(d_masks) if bin(g.bitmask & dm).count("1") in L)
             for g in pool
         ]
-        assert balancing._coverage_bitmaps(pool, n, L) == expected
+        points = np.array([char_vector(g, n) for g in pool])
+        packed = balancing._coverage_bitmaps(points, n, L)
+        assert [int.from_bytes(row.tobytes(), "little") for row in packed] == expected
+
+    @pytest.mark.parametrize(
+        "L, limit, expected",
+        [
+            ((1, 4), 2, {"minimum_size": None, "witness_family": None,
+                         "explored": 103042, "limit_hit": True}),
+            ((2, 3), 3, {"minimum_size": 3,
+                         "witness_family": [[1, 2, 3], [1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 6, 7]],
+                         "explored": 821769, "limit_hit": False}),
+            ((1,), 3, {"minimum_size": None, "witness_family": None,
+                       "explored": 4147683, "limit_hit": True}),
+        ],
+        ids=["L14", "L23", "L1"],
+    )
+    def test_n10_pinned(self, L, limit, expected):
+        # The last level is counted in one pass over the options; these
+        # node counts are those of the search that recursed into it.
+        assert min_balancing_size(10, L, limit).as_dict() == expected
+
+    @pytest.mark.extended
+    def test_n12_L1_pinned(self):
+        res = min_balancing_size(12, (1,), 3)
+        assert res.as_dict() == {
+            "minimum_size": None,
+            "witness_family": None,
+            "explored": 56919171,
+            "limit_hit": True,
+        }
 
     def test_found_families_satisfy_bound(self):
         for L in [(1,), (2,), (1, 2)]:
             res = min_balancing_size(6, L, 3)
             if res.minimum_size is not None:
                 assert 2 * len(L) * res.minimum_size >= 6
+
+
+# Over [6] the first 3-subset that misses {1} is {2,3,4}, the 11th in
+# combinations order: past the first block of 8.
+PAST_FIRST_BLOCK = (BalancingInstance(family(6, (1,)), (1,)), 3)
+
+
+class TestCountBlocks:
+    """Intersection counts streamed in blocks of 8 subsets: the first
+    uncovered subset and the first nonzero certificate point may fall in
+    any block."""
+
+    def test_blocks_join_to_the_whole_product(self):
+        members = np.array([[1, 0, 1, 1, 0, 0], [0, 1, 1, 0, 1, 1]])
+        subsets = list(combinations(range(6), 3))
+        with mock.patch.object(balancing, "_COVER_CHUNK", 1):
+            blocks = list(balancing._intersection_counts(6, 3, members))
+        assert [len(idx) for idx, _ in blocks] == [8, 8, 4]
+        assert [tuple(row) for idx, _ in blocks for row in idx.tolist()] == subsets
+        counts = np.concatenate([c for _, c in blocks], axis=1)
+        assert counts.tolist() == [
+            [sum(g[i] for i in s) for s in subsets] for g in members.tolist()
+        ]
+
+    @given(instances())
+    @example(PAST_FIRST_BLOCK)
+    def test_first_uncovered_subset(self, case):
+        inst, p = case
+        with mock.patch.object(balancing, "_COVER_CHUNK", 1):
+            ok, uncovered = is_balancing(inst)
+        assert ok == brute_is_balancing(inst.n, inst.L, [g.members for g in inst.family])
+        # Over [2p] the expanded certificate is first nonzero at the first
+        # uncovered p-subset.
+        nonzero = expanded_reference(inst, p)[3]
+        assert (uncovered is None) == (nonzero is None)
+        if uncovered is not None:
+            assert list(char_vector(uncovered, inst.n)) == nonzero["point"]
+
+    @given(instances())
+    @example(PAST_FIRST_BLOCK)
+    def test_not_applicable_witness(self, case):
+        inst, p = case
+        with mock.patch.object(balancing, "_COVER_CHUNK", 1):
+            rep = check_lower_bound(inst, p)
+        nonzero = expanded_reference(inst, p)[3]
+        if rep.status == NOT_APPLICABLE:
+            point = char_vector(Subset(tuple(rep.witnesses["uncovered_subset"])), inst.n)
+            assert list(point) == nonzero["point"]
+        else:
+            assert nonzero is None
+
+    @given(instances())
+    @example(PAST_FIRST_BLOCK)
+    def test_forced_fail_witness(self, case):
+        inst, p = case
+        with mock.patch.object(balancing, "_COVER_CHUNK", 1), \
+                mock.patch.object(balancing, "is_balancing", return_value=(True, None)):
+            rep = check_lower_bound(inst, p)
+        assert_matches_expansion(inst, p, rep)

@@ -257,6 +257,22 @@ class TestSearchCommand:
         assert code == 1
         assert json.loads(out)["limit_hit"] is True
 
+    @pytest.mark.parametrize(
+        "L, limit, code, explored, digest",
+        [
+            ("2,3", "3", 0, 821769,
+             "a2030be70798af5b48a5a8bf3c5f5d87683f5a80764f318a3997ad64153ae6e7"),
+            ("1,4", "2", 1, 103042,
+             "4a350cd1a8df75d9b52b83cdcba1ba0c2a829e6c958b7bd67c103b308f1b643b"),
+        ],
+        ids=["n10-L23-found", "n10-L14-limit"],
+    )
+    def test_n10_golden_bytes(self, capsys, L, limit, code, explored, digest):
+        got, out, _ = run_cli(capsys, "search", "--n", "10", "--L", L, "--limit", limit)
+        assert got == code
+        assert json.loads(out)["explored"] == explored
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestUsage:
     def test_missing_subcommand(self, capsys):
