@@ -50,7 +50,12 @@ def _intersection_counts(n: int, k: int, members: np.ndarray) -> Iterator[tuple]
     """Blocks of (0-based members of k-subsets S of [n] in combinations
     order, |g & S| with one row per row g of the 0/1 array members), each
     one float32 product, exact as counts are at most n.  Every block but
-    the last holds a multiple of 8 subsets, so bits packed per block join up."""
+    the last holds a multiple of 8 subsets, so bits packed per block join up.
+    Raises EnumerationCapError, before any block, when C(n, k) exceeds the
+    enumeration cap."""
+    count = math.comb(n, k)
+    if count > enumeration_cap():
+        raise EnumerationCapError(f"{count} {k}-subsets of [{n}]; cap is {enumeration_cap()}")
     rows = np.asarray(members, dtype=np.float32).reshape(-1, n)
     width = max(8, _COVER_CHUNK // max(1, len(rows)) // 8 * 8)
     combos = combinations(range(n), k)
@@ -107,6 +112,7 @@ def is_balancing(inst: BalancingInstance) -> tuple[bool, Subset | None]:
     """Whether every d-subset meets some family member in a size from L.
 
     On failure returns the lexicographically first uncovered d-subset.
+    Raises EnumerationCapError when C(n, d) exceeds the enumeration cap.
     """
     for idx, counts in _intersection_counts(inst.n, inst.d, inst.family.points()):
         uncovered = np.flatnonzero(~np.isin(counts, inst.L).any(axis=0))
@@ -142,7 +148,8 @@ def check_lower_bound(inst: BalancingInstance, p: int) -> VerificationReport:
 
     Non-balancing families and ground sets other than 2p are
     NOT_APPLICABLE; a FAIL would falsify the bound and carries a
-    re-verifiable witness.
+    re-verifiable witness.  Raises EnumerationCapError when C(n, n/2) or
+    C(n, p) exceeds the enumeration cap.
     """
     start = time.perf_counter()
     if not is_prime(p):

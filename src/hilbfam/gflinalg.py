@@ -241,10 +241,13 @@ class RowReducer:
     def pivot_columns(self) -> tuple[int, ...]:
         return tuple(sorted(self._pivots))
 
-    def add_rows(self, rows) -> None:
-        """Bring a row, or a block of rows, into the basis.  A bool block
-        is 0/1 and so already reduced; anything else is reduced with int64
-        ``% p`` first, so any integer input is safe to convert."""
+    def add_rows(self, rows) -> np.ndarray:
+        """Bring a row, or a block of rows, into the basis, and return the
+        positions, ascending, of the rows that raised the rank: each is
+        independent of the basis and of every row before it in the block.
+        A single row is position 0.  A bool block is 0/1 and so already
+        reduced; anything else is reduced with int64 ``% p`` first, so any
+        integer input is safe to convert."""
         arr = np.asarray(rows)
         if arr.dtype != np.bool_:
             arr = np.asarray(rows, dtype=np.int64) % self.p
@@ -253,7 +256,7 @@ class RowReducer:
         if arr.shape[1] != self.cols:
             raise ValueError(f"expected {self.cols} columns, got {arr.shape[1]}")
         # One conversion to a fresh C-contiguous block in the working dtype.
-        self._add_block(np.ascontiguousarray(arr, dtype=self._basis.dtype))
+        return self._add_block(np.ascontiguousarray(arr, dtype=self._basis.dtype))
 
     def add_basis_images(self, start: int, stop: int, perms: list[np.ndarray]) -> None:
         """Bring in ``row[perm]`` for every basis row start..stop, in the
@@ -315,18 +318,13 @@ class RowReducer:
             block[:, free] = sub
             block[:, pivots] = 0
 
-    def _eliminate_panel(self, panel: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        """Gauss-Jordan a panel in place with leftmost pivots; return its
-        nonzero RREF rows and their pivot columns in the order found."""
-        found, pivots = self._eliminate(panel)
-        return panel[found], pivots
-
     def _eliminate(self, panel: np.ndarray) -> tuple[list[int], list[int]]:
         """Bring `panel` to RREF in place, its dependent rows to zero; return
-        the positions of its pivot rows and their pivot columns in the order
-        found.  Above ``_LEAF`` rows, halve: eliminate the top half, clear
-        its pivots from the bottom half, eliminate that, and clear the
-        bottom half's pivots from the top half."""
+        the positions of its pivot rows, ascending, and their pivot columns.
+        A row is a pivot row when it is independent of the rows above it.
+        Above ``_LEAF`` rows, halve: eliminate the top half, clear its
+        pivots from the bottom half, eliminate that, and clear the bottom
+        half's pivots from the top half."""
         if panel.shape[0] > _LEAF:
             half = panel.shape[0] // 2
             top, bottom = panel[:half], panel[half:]
@@ -392,22 +390,29 @@ class RowReducer:
         self._pivots.extend(pivots)
         self._is_pivot[pivots] = True
 
-    def _add_block(self, block: np.ndarray) -> None:
+    def _add_block(self, block: np.ndarray) -> np.ndarray:
+        """Bring `block` into the basis; return the positions of its rows
+        that raised the rank, ascending."""
         self._reduce_against(block, 0, self.rank)
         block_start = self.rank
         live = np.flatnonzero(block.any(axis=1))
+        raised = [live[:0]]
         for start in range(0, live.size, _PANEL):
-            panel = block[live[start : start + _PANEL]]
+            at = live[start : start + _PANEL]
+            panel = block[at]
             self._reduce_against(panel, block_start, self.rank)
-            rows, pivots = self._eliminate_panel(panel)
+            found, pivots = self._eliminate(panel)
             if pivots:
+                rows = panel[found]
                 self._back_eliminate(rows, pivots, block_start, self.rank)
                 self._append(rows, pivots)
+                raised.append(at[found])
         # The panels left this block's pivots in the earlier blocks' rows;
         # one pass clears them, so the basis is in RREF again.
         if 0 < block_start < self.rank:
             new = self._basis[block_start : self.rank]
             self._back_eliminate(new, self._pivots[block_start:], 0, block_start)
+        return np.concatenate(raised)
 
 
 def rank_mod_p(matrix: FpMatrix) -> int:

@@ -13,9 +13,14 @@ elimination through the incremental reducer, fed in blocks of at most
 
 - a value or kernel of caller-supplied points feeds every point row;
 - a whole series feeds the transposed matrix, monomial rows over point
-  columns, one degree at a time.  Rank is invariant under transposition
-  and the monomials are ordered by degree, so h(m) is the rank reached
-  after the degree-m rows;
+  columns, in the global monomial order.  Rank is invariant under
+  transposition.  The monomials whose rows raise the rank, the standard
+  ones, form an order ideal, as in the Moeller-Buchberger algorithm: if
+  u's row depends on the rows of earlier monomials, the row of x_i * u
+  (reduced by x^2 = x at cap 1, x^p = x at cap p-1) depends on theirs
+  times x_i, which come earlier too.  So h(m) is the number of standard
+  monomials of degree <= m, and each degree feeds only the monomials whose
+  every lower neighbour is standard (see :func:`_next_degree`);
 - for nested point sets F in G, the rows of G outside F go into F's
   reducer after F's kernel is taken, and the final rank is h(G).
 
@@ -155,25 +160,44 @@ def hilbert_value(points: Sequence[Point], m: int, p: int, cap: int) -> int:
     return red.rank
 
 
+def _next_degree(standard: np.ndarray, cap: int) -> np.ndarray:
+    """The exponent rows, in the global monomial order, one degree above
+    the rows of `standard` (all of one degree), with entries <= cap, whose
+    every lower neighbour c - e_j (c_j >= 1) is a row of `standard`.
+
+    Every c = s + e_j with s in `standard` is made once per such pair, so c
+    qualifies when it is made once per nonzero entry.  Rows are grouped as
+    byte strings, big-endian so that byte order is the order of exponent
+    tuples; no encoding of a whole row as one integer, which would overflow.
+    """
+    rows, cols = np.nonzero(standard < cap)
+    up = standard[rows]
+    up[np.arange(len(rows)), cols] += 1
+    dtype = np.dtype(np.min_scalar_type(cap)).newbyteorder(">")
+    keys = np.ascontiguousarray(up, dtype=dtype).view(np.dtype((np.void, dtype.itemsize * up.shape[1])))
+    _, first, made = np.unique(keys.ravel(), return_index=True, return_counts=True)
+    up = up[first]
+    return up[made == np.count_nonzero(up, axis=1)]
+
+
 def hilbert_series(points: Sequence[Point], p: int, cap: int) -> tuple[int, ...]:
     """Values h(0), h(1), ... up to and including the first m with h(m) = |points|."""
     arr = _points_array(points, p)
     if len(np.unique(arr, axis=0)) != len(arr):
         raise ValueError("points must be distinct for a Hilbert series")
     _validate_cap(arr, p, cap)
-    n = arr.shape[1]
     red = RowReducer(p, len(arr))
     values = []
-    fed = 0
-    for m in range(n * cap + 1):
-        monos = monomials_upto(n, m, cap)
-        exps = np.array(monos[fed:], dtype=np.int64)
+    exps = np.zeros((1, arr.shape[1]), dtype=np.int64)
+    while len(exps):
+        standard = []
         for start in range(0, len(exps), _BLOCK_ROWS):
-            red.add_rows(_eval_rows(arr, exps[start : start + _BLOCK_ROWS], p, cap).T)
-        fed = len(monos)
+            block = exps[start : start + _BLOCK_ROWS]
+            standard.append(block[red.add_rows(_eval_rows(arr, block, p, cap).T)])
         values.append(red.rank)
         if red.rank == len(arr):
             return tuple(values)
+        exps = _next_degree(np.concatenate(standard), cap)
     raise AssertionError("series failed to stabilize below the interpolation degree")
 
 

@@ -4,9 +4,11 @@ Families are kept in a single canonical order (lexicographic on sorted
 member tuples) so that every downstream matrix, kernel basis and report
 is reproducible byte for byte.  `family_sizes` names the member sizes
 of the uniform and mod-q families and enforces the enumeration cap on
-them; `level_points` enumerates the 0/1 points of given sizes as one
-int64 array.  `family_points` joins the two, and the `make_*_family`
-constructors wrap the same member tuples as `Subset` objects.
+them; `level_points` writes the 0/1 points of given sizes straight into
+one int64 array in that order, from counts of subsets by size, with no
+member tuple and no sort.  `family_points` joins the two, and the
+`make_*_family` constructors wrap the same members, as sorted tuples, in
+`Subset` objects.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -201,14 +203,94 @@ def _members(n: int, sizes: Iterable[int]) -> list[tuple[int, ...]]:
     return members if len(sizes) < 2 else sorted(members)
 
 
+def _lex_subsets(b: int) -> np.ndarray:
+    """Every subset of [b] as a 0/1 int8 row, in family order: the empty
+    set, the subsets that contain 1, then the other nonempty ones.  So the
+    nonempty subsets of the last c coordinates are the last 2^c - 1 rows."""
+    table = np.zeros((1, 0), dtype=np.int8)
+    for _ in range(b):
+        with_first = np.hstack([np.ones((len(table), 1), np.int8), table])
+        without = np.hstack([np.zeros((len(table), 1), np.int8), table])
+        table = np.vstack([without[:1], with_first, without[1:]])
+    return table
+
+
+# The subsets of the last (up to) _TAIL_BITS coordinates, read from one
+# table by level_points; 4096 rows of 12 bytes.
+_TAIL_BITS = 12
+_TAIL = _lex_subsets(_TAIL_BITS)
+_TAIL_SIZES = _TAIL.sum(axis=1)
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The integers of every range [start, start + length), joined."""
+    ends = np.cumsum(lengths)
+    return np.arange(lengths.sum()) + np.repeat(starts - ends + lengths, lengths)
+
+
 def level_points(n: int, sizes: Iterable[int]) -> np.ndarray:
     """0/1 points of every subset of [n] whose size is in sizes, in family
-    order: one int64 row per subset.  Unlike family_points, no cap check."""
-    members = _members(n, sizes)
-    arr = np.zeros((len(members), n), dtype=np.int64)
-    rows = np.repeat(np.arange(len(members)), [len(c) for c in members])
-    arr[rows, np.fromiter(chain.from_iterable(members), np.intp, len(rows)) - 1] = 1
-    return arr
+    order: one int64 row per subset.  Unlike family_points, no cap check.
+
+    Family order lists the block of a set P -- P and every member whose
+    member tuple starts with P's -- as P, if its size is wanted, then the
+    blocks of P + {j} for each later j in turn.  Block lengths are counts
+    of subsets by size, so each block's rows are known without listing the
+    members before it.  Over the first n - b coordinates, b = min(n,
+    ``_TAIL_BITS``), the sets P of each size t are placed at once, their
+    last coordinate set to 1 over their whole block; each block ends with
+    P + Q for the nonempty subsets Q of the last b coordinates, copied from
+    ``_TAIL``.  Every 1 is written once; no member tuple is built and
+    nothing is sorted.
+    """
+    sizes = sorted(set(sizes))
+    if sizes and sizes[0] < 0:
+        raise ValueError(f"sizes must be nonnegative, got {sizes[0]}")
+    sizes = [k for k in sizes if k <= n]
+    total = sum(math.comb(n, k) for k in sizes)
+    out = np.zeros((total, n), dtype=np.int64)
+    b = min(n, _TAIL_BITS)
+    head = n - b
+    first = len(_TAIL) + 1 - 2**b
+    tail, tail_sizes = _TAIL[first:, _TAIL_BITS - b :], _TAIL_SIZES[first:]
+    wanted = np.zeros(n + 1, dtype=bool)
+    wanted[sizes] = True
+    # The tail rows after a set of size t: the nonempty Q with t + |Q| wanted.
+    last = tail[wanted[tail_sizes]]
+    out[total - len(last) :, head:] = last
+    depth = min(head, sizes[-1]) if sizes else 0
+    if not depth:
+        return out
+    # count[r]: the subsets of an r-set with sizes in `sizes` less t, at
+    # depth t; the block of a t-set whose last coordinate is j has
+    # count[n - 1 - j] rows.  At t = 0 it is a sum of binomial columns, each
+    # the running sum of the one before; each depth takes first differences.
+    # int64 arithmetic is exact mod 2^64, and every count read is at most
+    # `total`, so every count read is exact.
+    column = np.ones(n + 1, dtype=np.int64)
+    count = column * wanted[0]
+    for k in range(1, sizes[-1] + 1):
+        column = np.concatenate([[0], np.cumsum(column[:-1])])
+        count += column * wanted[k]
+    flat = out.reshape(-1)
+    ends = np.array([total])
+    cols = np.array([-1])
+    for t in range(1, depth + 1):
+        # Children j of each (t-1)-set past its last coordinate, up to the
+        # last j that leaves room for the smallest wanted size >= t.
+        stop = min(head, n - next(k for k in sizes if k >= t) + t)
+        fan = np.maximum(stop - 1 - cols, 0)
+        children = _ranges(cols + 1, fan)
+        # A child's block ends where its later siblings' blocks begin.
+        ends = np.repeat(ends + wanted[t - 1], fan) - count[n - 1 - children]
+        cols = children
+        count = count[1:] - count[:-1]
+        block = count[n - 1 - cols]
+        flat[_ranges(ends - block, block) * n + np.repeat(cols, block)] = 1
+        last = tail[wanted[tail_sizes + t]]
+        rows = (ends - len(last))[:, None] + np.arange(len(last))
+        out[rows.reshape(-1), head:] = np.tile(last, (len(ends), 1))
+    return out
 
 
 def family_points(n: int, d: int, q: int | None = None, cap: int | None = None) -> np.ndarray:

@@ -283,6 +283,34 @@ class TestCheckLowerBound:
         assert time.perf_counter() - start < 1
 
 
+class TestEnumerationCap:
+    """The coverage and certificate scans enumerate C(n, k) subsets, so
+    they are held to the enumeration cap before the first block."""
+
+    def test_large_ground_set_refused_at_once(self, monkeypatch):
+        monkeypatch.delenv(ENUMERATION_CAP_ENV, raising=False)
+        # C(38, 19) is about 3.5e10 subsets.
+        inst = BalancingInstance(family(38, (1,)), (1,))
+        start = time.perf_counter()
+        with pytest.raises(EnumerationCapError, match="35345263800 19-subsets of \\[38\\]; cap is 10000000"):
+            is_balancing(inst)
+        with pytest.raises(EnumerationCapError):
+            check_lower_bound(inst, 19)
+        assert time.perf_counter() - start < 1
+
+    def test_cap_from_the_environment(self, monkeypatch):
+        # C(10, 5) = 252 five-subsets for the coverage and the certificate.
+        inst = BalancingInstance(family(10, *SIXTEEN_FACTORS), (1, 2))
+        monkeypatch.setenv(ENUMERATION_CAP_ENV, "251")
+        with pytest.raises(EnumerationCapError, match="cap is 251"):
+            is_balancing(inst)
+        with pytest.raises(EnumerationCapError, match="cap is 251"):
+            check_lower_bound(inst, 5)
+        monkeypatch.setenv(ENUMERATION_CAP_ENV, "252")
+        assert is_balancing(inst) == (True, None)
+        assert check_lower_bound(inst, 5).status == PASS
+
+
 class TestSearch:
     def test_n4_minimum_is_two(self):
         res = min_balancing_size(4, (1,), 3)

@@ -237,6 +237,31 @@ class TestBalanceCommands:
         assert code == 1
         assert json.loads(out)["status"] == "NOT_APPLICABLE"
 
+    def test_check_past_the_cap_exits_three(self, tmp_path):
+        # One member over [38]: C(38, 19) 19-subsets to scan.  In a
+        # subprocess, so that a hang is cut by the timeout.
+        path = tmp_path / "fam.txt"
+        path.write_text("n=38\n1\n")
+        env = {k: v for k, v in os.environ.items() if k != "HILBFAM_ENUM_CAP"}
+        env["PYTHONPATH"] = str(SRC)
+        cmd = [sys.executable, "-m", "hilbfam", "balance", "check", "--L", "1", "--p", "19", "--family", str(path)]
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=30)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "19-subsets of [38]; cap is 10000000" in proc.stderr
+
+    def test_check_cap_from_the_environment(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "fam.txt"
+        path.write_text("n=6\n1,2\n1,3\n1,4\n")
+        argv = ["balance", "check", "--L", "1", "--family", str(path)]
+        monkeypatch.setenv("HILBFAM_ENUM_CAP", "19")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "20 3-subsets of [6]; cap is 19" in err
+        monkeypatch.setenv("HILBFAM_ENUM_CAP", "20")
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, json.loads(out)["status"]) == (0, "PASS")
+
     def test_n_mismatch_usage_error(self, capsys, tmp_path):
         path = tmp_path / "fam.txt"
         path.write_text("n=4\n1,2\n")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hilbfam import gflinalg
 from hilbfam.gflinalg import (
     _CHUNK,
     _FLOAT32_EXACT_LIMIT,
@@ -407,10 +408,18 @@ class TestWilsonPRank:
 
 
 
+def eliminate_panel(panel, p):
+    """`_eliminate` on a copy of `panel`: its pivot rows and their pivot
+    columns, in the order found."""
+    work = panel.copy()
+    found, pivots = RowReducer(p, panel.shape[1])._eliminate(work)
+    return work[found], pivots
+
+
 def check_panel(panel, p):
-    """`_eliminate_panel` against the oracle RREF of the same rows."""
+    """`_eliminate` against the oracle RREF of the same rows."""
     expected, expected_piv = oracle_rref(panel.tolist(), p)
-    rows, pivots = RowReducer(p, panel.shape[1])._eliminate_panel(panel.copy())
+    rows, pivots = eliminate_panel(panel, p)
     assert rows.shape == (len(pivots), panel.shape[1])
     # Rows come back in the order their pivots were found.
     order = np.argsort(pivots)
@@ -449,13 +458,13 @@ class TestEliminatePanel:
         # row 2 is 2 * row 1 and cancels, row 3 leads with 1.
         panel = np.array([[0, 0, 0, 0], [2, 1, 0, 1], [1, 2, 0, 2], [0, 1, 1, 0]])
         check_panel(panel, 3)
-        rows, pivots = RowReducer(3, 4)._eliminate_panel(panel.copy())
+        rows, pivots = eliminate_panel(panel, 3)
         assert pivots == [0, 1]
         assert rows.tolist() == [[1, 0, 1, 2], [0, 1, 1, 0]]
 
     @pytest.mark.parametrize("p", [2, 3, 101])
     def test_all_zero_panel(self, p):
-        rows, pivots = RowReducer(p, 5)._eliminate_panel(np.zeros((3, 5), dtype=np.int64))
+        rows, pivots = eliminate_panel(np.zeros((3, 5), dtype=np.int64), p)
         assert pivots == [] and rows.shape == (0, 5)
 
     @pytest.mark.parametrize("p", [2, 3, 101])
@@ -468,6 +477,63 @@ class TestEliminatePanel:
     @given(fp_matrices(max_rows=_PANEL, max_cols=12))
     def test_random_panels(self, m):
         check_panel(np.array(m.data), m.p)
+
+
+def raising_rows_oracle(data, p):
+    """Positions of the rows of `data` independent of every row before them,
+    that is of the rows that raise the prefix rank: the pivot columns of the
+    oracle RREF of the transpose."""
+    return list(oracle_rref(np.asarray(data).T.tolist(), p)[1])
+
+
+class TestRaisedRows:
+    """`add_rows` returns the positions of the rows that raised the rank.
+    Panels of 8 rows and leaves of 2 make every block span several panels
+    and every panel several leaves."""
+
+    @pytest.fixture(autouse=True)
+    def small_panels(self, monkeypatch):
+        monkeypatch.setattr(gflinalg, "_PANEL", 8)
+        monkeypatch.setattr(gflinalg, "_LEAF", 2)
+
+    @staticmethod
+    def matrix(kind, p):
+        data = multi_panel_matrix(kind, p, seed=60 + p, rows=70, cols=30)
+        data[[0, 3, 20, 21, 50]] = 0
+        data[40] = data[5]
+        data[41] = 2 * data[12] % p
+        data[42] = data[42] + p * 3
+        return data
+
+    # Over 30 columns p = 1009 runs in int64, the others in float32.
+    @pytest.mark.parametrize("p, dtype", [(2, np.float32), (3, np.float32), (7, np.float32), (1009, np.int64)])
+    @pytest.mark.parametrize("kind", ["random", "low-rank", "repeated"])
+    def test_matches_prefix_ranks(self, kind, p, dtype):
+        data = self.matrix(kind, p)
+        expected = raising_rows_oracle(data, p)
+        # One call; calls of several sizes, an empty one among them; and
+        # one 1-D row per call.
+        for blocks in ([70], [25, 0, 1, 30, 14], [1] * 70):
+            red = RowReducer(p, data.shape[1])
+            raised, start = [], 0
+            for size in blocks:
+                rows = data[start] if blocks[0] == 1 else data[start : start + size]
+                got = red.add_rows(rows)
+                assert np.all(np.diff(got) > 0)
+                raised.extend((start + got).tolist())
+                start += size
+            assert raised == expected
+            assert red.rank == len(expected)
+            assert red.basis_rows(0, 1).dtype == dtype
+
+    @pytest.mark.parametrize("p", [2, 1009])
+    def test_bool_rows_and_zero_block(self, p):
+        data = zero_one_matrix(seed=70 + p, rows=60, cols=40)
+        red = RowReducer(p, 40)
+        assert red.add_rows(np.zeros((5, 40), dtype=bool)).tolist() == []
+        assert red.add_rows(data).tolist() == raising_rows_oracle(data.astype(np.int64), p)
+        # Everything again: every row now depends on the basis.
+        assert red.add_rows(data).tolist() == []
 
 
 class TestMatmulMod:

@@ -267,6 +267,52 @@ class TestSeriesOneElimination:
             hilbert_series([(0, 1)], 5, 2)
 
 
+class TestSeriesOrderIdeal:
+    """The series feeds only the monomials whose every lower neighbour is
+    standard, and keys monomials without any integer encoding that could
+    overflow past 62 variables."""
+
+    def test_rows_fed_on_the_mod4_family(self, monkeypatch):
+        fed = []
+        real = RowReducer.add_rows
+
+        def counting(red, rows):
+            fed.append(len(rows))
+            return real(red, rows)
+
+        monkeypatch.setattr(RowReducer, "add_rows", counting)
+        series = hilbert_series(make_modq_family(12, 0, 4).points(), 2, 1)
+        assert series == tuple(modq_value(12, 0, 4, m) for m in range(10))
+        # Of the 4017 monomials of degree <= 9 over [12], for rank 992.
+        assert sum(fed) == 1040
+
+    @pytest.mark.parametrize("n", [63, 64, 70, 100])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_wide_points_at_cap_one(self, n, p):
+        # Seven corners of a cube on coordinates 0, n-2 and n-1, and five
+        # random points: degree 2 is needed, on the last variables.
+        rng = np.random.default_rng(n)
+        base = rng.integers(0, 2, n)
+        corners = [(), (n - 1,), (n - 2,), (n - 2, n - 1), (0,), (0, n - 1), (0, n - 2)]
+        points = [tuple(int(v) for v in base ^ np.isin(np.arange(n), c)) for c in corners]
+        points += [tuple(int(v) for v in row) for row in rng.integers(0, 2, (5, n))]
+        series = hilbert_series(points, p, 1)
+        assert series == series_by_values(points, p, 1)
+        assert len(series) == 3
+
+    def test_thirty_variables_at_cap_p_minus_1(self):
+        # Four values of x_30 need x_30^3; two of x_1 and x_1 * x_30.
+        rng = np.random.default_rng(30)
+        base = rng.integers(0, 5, 30)
+        shifts = [(t, 0) for t in range(4)] + [(0, 1), (1, 1), (2, 3)]
+        points = [tuple(int(v) for v in (base + np.eye(30, dtype=np.int64)[29] * t
+                                         + np.eye(30, dtype=np.int64)[0] * u) % 5)
+                  for t, u in shifts]
+        series = hilbert_series(points, 5, 4)
+        assert series == series_by_values(points, 5, 4)
+        assert len(series) == 4
+
+
 class TestArrayInput:
     """Points given as one int64 array answer as the same points as tuples."""
 

@@ -1,7 +1,9 @@
 """Set-family constructors, characteristic vectors, text format."""
 
+import random
 import time
-from itertools import combinations
+import tracemalloc
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from hilbfam.setfam import (
     family_points,
     format_family,
     is_prime,
+    level_points,
     make_modq_family,
     make_uniform_family,
     parse_family,
@@ -131,6 +134,69 @@ class TestFamilyPoints:
         with pytest.raises(EnumerationCapError):
             family_points(40, 20)
         assert time.perf_counter() - start < 1.0
+
+
+def oracle_level_points(n, sizes):
+    """The enumeration by member tuples: each size's combinations, merged
+    by a sort of the tuples, read into the array."""
+    sizes = tuple(sizes)
+    members = [c for k in sizes for c in combinations(range(1, n + 1), k)]
+    members = members if len(sizes) < 2 else sorted(members)
+    arr = np.zeros((len(members), n), dtype=np.int64)
+    rows = np.repeat(np.arange(len(members)), [len(c) for c in members])
+    arr[rows, np.fromiter(chain.from_iterable(members), np.intp, len(rows)) - 1] = 1
+    return arr
+
+
+class TestLevelPoints:
+    """The prefix enumeration against the member-tuple oracle."""
+
+    @staticmethod
+    def check(n, sizes):
+        got = level_points(n, sizes)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, oracle_level_points(n, sizes)), (n, sizes)
+
+    def test_every_set_of_sizes_up_to_n9(self):
+        # Sizes up to n + 1, so some lie past n.
+        for n in range(10):
+            for r in range(n + 3):
+                for sizes in combinations(range(n + 2), r):
+                    self.check(n, sizes)
+
+    def test_random_sets_of_sizes_up_to_n14(self):
+        rng = random.Random(14)
+        for n in range(10, 15):
+            for _ in range(12):
+                self.check(n, rng.sample(range(n + 1), rng.randint(1, n + 1)))
+
+    @pytest.mark.parametrize("n,sizes", [
+        (17, tuple(range(0, 18, 2))), (20, (10,)), (300, (0, 1, 2)), (1000, (1,)),
+        (1500, (1499,)), (40, (0, 39, 40)),
+    ])
+    def test_wide_and_deep(self, n, sizes):
+        # (1500, (1499,)) walks 1488 depths, past the recursion limit.
+        self.check(n, sizes)
+
+    def test_order_of_sizes_ignored(self):
+        assert np.array_equal(level_points(9, (6, 0, 3)), level_points(9, (0, 3, 6)))
+
+    @pytest.mark.parametrize("sizes", [(-1,), (2, -1), (-3, 0, 5)])
+    def test_negative_size_rejected(self, sizes):
+        with pytest.raises(ValueError):
+            oracle_level_points(6, sizes)
+        with pytest.raises(ValueError, match="nonnegative"):
+            level_points(6, sizes)
+
+    @pytest.mark.parametrize("n,sizes", [(20, (10,)), (300, (0, 1, 2)), (17, tuple(range(0, 18, 2)))])
+    def test_peak_memory_within_three_outputs(self, n, sizes):
+        tracemalloc.start()
+        try:
+            out = level_points(n, sizes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * out.nbytes
 
 
 class TestCharVector:
