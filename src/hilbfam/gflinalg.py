@@ -40,6 +40,7 @@ rows, which are reduced and in the working dtype already.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,12 +68,12 @@ _CHUNK = 128
 
 
 def _mod(x: np.ndarray, p: int) -> np.ndarray:
-    """x %= p in place; returns x.  `x` is int64, or float32 holding
-    integers in [-2^21, 2^21).  For float32 this is the offset floor
-    x -= p * floor(x * (1/p) + 0.5/p): the exact quotient plus the offset
-    lies at least 0.5/p from an integer, and in that range its three
-    roundings move it by under 0.375/p, so the floor is the true quotient
-    and every other step is exact."""
+    """x %= p in place; returns x.  `x` is int64, float64 holding integers
+    under 2^53, or float32 holding integers in [-2^21, 2^21).  For float32
+    this is the offset floor x -= p * floor(x * (1/p) + 0.5/p): the exact
+    quotient plus the offset lies at least 0.5/p from an integer, and in
+    that range its three roundings move it by under 0.375/p, so the floor
+    is the true quotient and every other step is exact."""
     if x.dtype == np.float32:
         q = x * np.float32(1 / p)
         q += np.float32(0.5 / p)
@@ -131,6 +132,44 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if prod.dtype == np.float64:
         prod = prod.astype(np.int64)
     return _mod(prod, p).astype(np.int64, copy=False)
+
+
+class Rref(NamedTuple):
+    """A row space over F_p by its reduced echelon form: the RREF rows in
+    pivot order on the free columns (rank x free, in the working dtype of
+    the reducer they came from), and the pivot and free columns, ascending.
+
+    The canonical kernel has one row per free column: row j is 1 at
+    ``free[j]``, 0 at the other free columns and ``-rows[:, j]`` mod p at
+    the pivots.  So a matrix's product with the kernel is its free columns
+    minus its pivot columns times `rows`, and the kernel need not be built.
+    """
+
+    rows: np.ndarray
+    pivots: np.ndarray
+    free: np.ndarray
+
+    def kernel(self, p: int) -> np.ndarray:
+        """The canonical kernel basis, int64, one row per free column."""
+        kernel = np.zeros((self.free.size, self.pivots.size + self.free.size), dtype=np.int64)
+        kernel[np.arange(self.free.size), self.free] = 1
+        kernel[:, self.pivots] = _mod(-self.rows, p).T
+        return kernel
+
+    def kernel_row(self, j: int, p: int) -> np.ndarray:
+        """Row j of :meth:`kernel`, int64, from column j of `rows` alone."""
+        row = np.zeros(self.pivots.size + self.free.size, dtype=np.int64)
+        row[self.free[j]] = 1
+        row[self.pivots] = _mod(-self.rows[:, j], p)
+        return row
+
+    def kernel_product(self, a: np.ndarray, p: int) -> np.ndarray:
+        """(a @ kernel.T) mod p for `a` with entries in 0..p-1 (bool counts
+        as 0/1): ``a[:, free] - a[:, pivots] @ rows``, one exact product,
+        reduced once.  Returned in the product's dtype."""
+        out = _matmul_exact(np.take(a, self.pivots, axis=1), self.rows, p)
+        np.subtract(np.take(a, self.free, axis=1), out, out=out)
+        return _mod(out, p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,9 +251,13 @@ class RowReducer:
     ``cols`` terms, a row scaled by an inverse) is then an integer in
     [-2^21, 2^21), where float32 and :func:`_mod` are exact.  Otherwise
     it is int64.
+
+    A caller that knows how many rows it will feed passes that count as
+    `rows`: the basis is then allocated once, for min(rows, cols) rows, the
+    most those rows can add.  Otherwise it doubles as it fills.
     """
 
-    def __init__(self, p: int, cols: int):
+    def __init__(self, p: int, cols: int, rows: int = 0):
         if not is_prime(p):
             raise ValueError(f"modulus must be prime, got {p}")
         if cols < 0:
@@ -230,7 +273,7 @@ class RowReducer:
         # Growing basis matrix in the working dtype, its pivot column per
         # row, and a mask of the pivot columns.
         dtype = np.float32 if bound < _FLOAT32_EXACT_LIMIT else np.int64
-        self._basis = np.zeros((0, cols), dtype=dtype)
+        self._basis = np.zeros((min(rows, cols), cols), dtype=dtype)
         self._pivots: list[int] = []
         self._is_pivot = np.zeros(cols, dtype=bool)
 
@@ -279,24 +322,16 @@ class RowReducer:
         order = np.argsort(np.asarray(self._pivots, dtype=np.int64))
         return self._basis[order].astype(np.int64, copy=False)
 
-    def kernel_matrix(self) -> np.ndarray:
-        """Canonical kernel basis, one row per free column, ascending.
-
-        Each basis vector carries a 1 at its own free column, 0 at the
-        other free columns and the negated echelon entries at the pivot
-        columns.
-        """
-        pivots = np.flatnonzero(self._is_pivot)
+    def rref(self) -> Rref:
+        """A copy of the RREF as an :class:`Rref`, unchanged by later rows."""
+        order = np.argsort(np.asarray(self._pivots, dtype=np.int64))
         free = np.flatnonzero(~self._is_pivot)
-        kernel = np.zeros((free.size, self.cols), dtype=np.int64)
-        kernel[np.arange(free.size), free] = 1
-        if pivots.size and free.size:
-            # The basis rows in pivot order, on the free columns only.
-            order = np.argsort(np.asarray(self._pivots, dtype=np.int64))
-            entries = self._basis[np.ix_(order, free)]
-            np.negative(entries, out=entries)
-            kernel[:, pivots] = _mod(entries, self.p).T
-        return kernel
+        return Rref(self._basis[np.ix_(order, free)], np.flatnonzero(self._is_pivot), free)
+
+    def kernel_matrix(self) -> np.ndarray:
+        """Canonical kernel basis, one row per free column, ascending (see
+        :meth:`Rref.kernel`)."""
+        return self.rref().kernel(self.p)
 
     # -- elimination -------------------------------------------------------
 

@@ -22,20 +22,28 @@ elimination through the incremental reducer, fed in blocks of at most
   monomials of degree <= m, and each degree feeds only the monomials whose
   every lower neighbour is standard (see :func:`_next_degree`);
 - for nested point sets F in G, the rows of G outside F go into F's
-  reducer after F's kernel is taken, and the final rank is h(G).
+  reducer after F's RREF is taken, and the final rank is h(G).
 
 The uniform and mod-q families this library builds itself
-(:func:`family_kernel`, :func:`uniform_report`, :func:`modq_report`, and
+(:func:`family_rref`, :func:`uniform_report`, :func:`modq_report`, and
 through them the MAIN2, HRUBES and HLEMMA drivers) are unions of size
 levels, each one orbit of S_n permuting coordinates.  When a question's
 levels hold more than max(2 * columns, ``_BLOCK_ROWS``) points, their
 row space is spun from one seed row per level under two generators of
 S_n instead (see :func:`_feed_family`); below that, streaming every point
 is as cheap.  The RREF of a row space is unique, so both paths give the
-same kernels and values.  The drivers' witness scans still evaluate the
-kernel at every point of the families they check: the scan is the
-cross-check that does not trust the elimination, so it must not lean on
-the symmetry argument either.
+same kernels and values.
+
+The drivers take the RREF itself, as a :class:`~hilbfam.gflinalg.Rref`
+from :func:`family_rref` or :func:`nested_kernel`, not the canonical
+kernel: kernel row j is fixed by column j of the RREF rows R on the free
+columns, so a witness scan gets every point's values on the kernel as
+residues, ``E[:, free] - E[:, pivots] @ R`` mod p, and builds only the
+witness row.  The scan still evaluates every point of the families it
+checks with a plain product: it is the cross-check that does not trust
+the elimination, so it must not lean on the symmetry argument either.
+:func:`family_kernel` and :func:`kernel_matrix` build the kernel from the
+same RREF for callers that want it.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gflinalg import RowReducer
+from .gflinalg import Rref, RowReducer
 from .poly import Monomial, Point, Polynomial, monomials_upto
 from .setfam import Params, binomial, family_sizes, is_power_of, is_prime, level_points
 
@@ -145,11 +153,15 @@ def _feed_family(
         done = stop
 
 
-def _reduce_points(points: Sequence[Point], m: int, p: int, cap: int) -> tuple[RowReducer, tuple[Monomial, ...]]:
+def _reduce_points(
+    points: Sequence[Point], m: int, p: int, cap: int, rows: int | None = None
+) -> tuple[RowReducer, tuple[Monomial, ...]]:
+    """A reducer fed every point's row, with its basis allocated for `rows`
+    rows (default: the points)."""
     arr = _points_array(points, p)
     _validate_cap(arr, p, cap)
     monos = monomials_upto(arr.shape[1], m, cap)
-    red = RowReducer(p, len(monos))
+    red = RowReducer(p, len(monos), len(arr) if rows is None else rows)
     _feed_points(red, arr, monos, p, cap)
     return red, monos
 
@@ -208,57 +220,77 @@ def kernel_matrix(points: Sequence[Point], m: int, p: int, cap: int) -> tuple[np
     return red.kernel_matrix(), monos
 
 
+def _rows_in(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of the rows of `a` that are rows of `b`, for int64 arrays of one
+    width: each row is one byte string, looked up in b's, sorted."""
+    row = np.dtype((np.void, 8 * a.shape[1]))
+    keys = np.ascontiguousarray(a).view(row).ravel()
+    table = np.sort(np.ascontiguousarray(b).view(row).ravel())
+    at = np.searchsorted(table, keys)
+    return table[np.minimum(at, len(table) - 1)] == keys
+
+
 def nested_kernel(
     points_f: Sequence[Point], points_g: Sequence[Point], m: int, p: int, cap: int
-) -> tuple[np.ndarray, tuple[Monomial, ...], int]:
-    """For point sets F contained in G: F's canonical degree-<= m kernel
-    (as :func:`kernel_matrix`), its monomial columns, and h(G) at m.
+) -> tuple[Rref, tuple[Monomial, ...], int]:
+    """For point sets F contained in G: the RREF of F's degree-<= m
+    evaluation rows, whose kernel is :func:`kernel_matrix`'s, its monomial
+    columns, and h(G) at m.
 
     One elimination: the rows of the points of G outside F go into F's
-    reducer after its kernel is taken.  G is validated as a whole, and F
+    reducer after its RREF is taken.  G is validated as a whole, and F
     must be contained in G.
     """
     arr_g = _points_array(points_g, p)
     _validate_cap(arr_g, p, cap)
     arr_f = _points_array(points_f, p)
-    in_f = set(map(tuple, arr_f.tolist()))
-    g_rows = list(map(tuple, arr_g.tolist()))
-    if not in_f.issubset(g_rows):
+    if arr_f.shape[1] != arr_g.shape[1] or not _rows_in(arr_f, arr_g).all():
         raise ValueError("the first point set must be contained in the second")
-    red, monos = _reduce_points(arr_f, m, p, cap)
-    kernel = red.kernel_matrix()
-    _feed_points(red, arr_g[[pt not in in_f for pt in g_rows]], monos, p, cap)
-    return kernel, monos, red.rank
+    # F is inside G, so G's points bound the rank.
+    red, monos = _reduce_points(arr_f, m, p, cap, len(arr_g))
+    rref = red.rref()
+    _feed_points(red, arr_g[~_rows_in(arr_g, arr_f)], monos, p, cap)
+    return rref, monos, red.rank
+
+
+def family_rref(
+    n: int, d: int, m: int, p: int, q: int | None = None, cap: int | None = None
+) -> tuple[Rref, tuple[Monomial, ...], int]:
+    """The RREF of the cap-1 degree-<= m evaluation rows of the d-uniform
+    family of [n], whose kernel is :func:`kernel_matrix`'s of
+    ``family_points(n, d)``, its monomial columns, and h at m of the family
+    of sizes congruent to d mod q, or of the d-uniform family when q is
+    None.
+
+    One elimination, as :func:`nested_kernel`: the other size levels go
+    into the reducer after the RREF is taken, and the basis is allocated
+    once for all their points.  Both families are held to the enumeration
+    cap (`cap`, default the active one), uniform first, though neither
+    need be enumerated.
+    """
+    family_sizes(n, d, cap=cap)
+    others = [k for k in family_sizes(n, d, q, cap) if k != d]
+    monos = monomials_upto(n, m, 1)
+    red = RowReducer(p, len(monos), sum(binomial(n, k) for k in [d, *others]))
+    _feed_family(red, n, (d,), monos)
+    rref = red.rref()
+    _feed_family(red, n, others, monos)
+    return rref, monos, red.rank
 
 
 def family_kernel(
     n: int, d: int, m: int, p: int, q: int | None = None, cap: int | None = None
 ) -> tuple[np.ndarray, tuple[Monomial, ...], int]:
-    """The canonical degree-<= m kernel of the d-uniform family of [n] (as
-    :func:`kernel_matrix` of ``family_points(n, d)`` at cap 1), its
-    monomial columns, and h at m of the family of sizes congruent to d
-    mod q, or of the d-uniform family when q is None.
-
-    One elimination, as :func:`nested_kernel`: the other size levels go
-    into the reducer after the kernel is taken.  Both families are held
-    to the enumeration cap (`cap`, default the active one), uniform
-    first, though neither need be enumerated.
-    """
-    family_sizes(n, d, cap=cap)
-    others = [k for k in family_sizes(n, d, q, cap) if k != d]
-    monos = monomials_upto(n, m, 1)
-    red = RowReducer(p, len(monos))
-    _feed_family(red, n, (d,), monos)
-    kernel = red.kernel_matrix()
-    _feed_family(red, n, others, monos)
-    return kernel, monos, red.rank
+    """:func:`family_rref` with the canonical kernel in place of the RREF."""
+    rref, monos, h = family_rref(n, d, m, p, q, cap)
+    return rref.kernel(p), monos, h
 
 
 def _family_value(n: int, sizes: Sequence[int], m: int, p: int) -> tuple[int, int]:
     """h at m of the 0/1 points of [n] with sizes in `sizes`, and the
     number of monomial columns."""
     monos = monomials_upto(n, m, 1)
-    red = RowReducer(p, len(monos))
+    red = RowReducer(p, len(monos), sum(binomial(n, k) for k in sizes))
     _feed_family(red, n, sizes, monos)
     return red.rank, len(monos)
 

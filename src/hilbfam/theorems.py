@@ -3,9 +3,14 @@
 Each driver reduces a "for every polynomial of degree <= m in the ideal"
 claim to a finite kernel-basis computation: vanishing conditions are
 linear, so checking a basis of the truncated ideal decides the claim for
-the whole space.  Reports record enough dimensions to audit that
-reduction, and a FAIL always carries a witness that re-verifies
-independently (a rendered polynomial plus the point where it fails).
+the whole space.  The basis is the canonical kernel of one elimination,
+read from its RREF without being built: a point's values on every kernel
+polynomial are one residue of its evaluation row against the RREF rows
+(see :func:`_vanishing_witness`), and HRUBES reads the constant terms
+straight off the RREF's first row.  Reports record enough dimensions to
+audit that reduction, and a FAIL always carries a witness that
+re-verifies independently (a rendered polynomial plus the point where it
+fails).
 """
 
 from __future__ import annotations
@@ -18,11 +23,11 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import hilbert
-from .gflinalg import matmul_mod, product_dtype
+from .gflinalg import Rref
 from .hilbert import (  # noqa: F401  (kernel_matrix stays importable from here)
     _eval_rows,
     _points_array,
-    family_kernel,
+    family_rref,
     kernel_matrix,
     nested_kernel,
     vector_to_polynomial,
@@ -87,33 +92,36 @@ def _elapsed_ms(start: float) -> float:
 
 
 def _vanishing_witness(
-    kernel: np.ndarray,
+    rref: Rref,
     monomials: Sequence[tuple[int, ...]],
-    points: Sequence[Point],
+    arr: np.ndarray,
     p: int,
     cap: int,
 ) -> dict[str, Any] | None:
-    """First (kernel polynomial, point) pair with a nonzero value, or None.
+    """First (kernel polynomial, point) pair with a nonzero value, or None,
+    for the canonical kernel of `rref` and the points `arr`, an integer
+    array reduced mod p.
 
     Scans points in their given order, in blocks of the hilbert module's
     ``_BLOCK_ROWS`` points, and kernel rows in basis order, so the witness
-    is deterministic.  The exponent matrix and the kernel, in the product
-    dtype, are built once; each block's evaluation rows (bool at cap 1)
-    are converted only for their product.
+    is deterministic.  A block's values on every kernel row are the
+    residues of its evaluation rows E (bool at cap 1) against the RREF,
+    ``E[:, free] - E[:, pivots] @ R`` mod p (:meth:`Rref.kernel_product`):
+    a plain product, which does not trust the elimination that gave R.
+    Only the witness row's polynomial is built.
     """
-    if kernel.shape[0] == 0:
+    if not rref.free.size:
         return None
-    arr = _points_array(points, p)
     exps = np.array(monomials, dtype=np.int64)
-    kt = np.ascontiguousarray(kernel.T, dtype=product_dtype(kernel.shape[1], p))
     step = hilbert._BLOCK_ROWS
     for start in range(0, arr.shape[0], step):
         block = arr[start : start + step]
-        values = matmul_mod(_eval_rows(block, exps, p, cap), kt, p)
-        hits = np.argwhere(values)
+        values = rref.kernel_product(_eval_rows(block, exps, p, cap), p)
+        hits = np.flatnonzero(values.any(axis=1))
         if hits.size:
-            i, j = (int(v) for v in hits[0])
-            poly = vector_to_polynomial(kernel[j], monomials, p)
+            i = int(hits[0])
+            j = int(np.flatnonzero(values[i])[0])
+            poly = vector_to_polynomial(rref.kernel_row(j, p), monomials, p)
             return {
                 "polynomial": str(poly),
                 "point": [int(v) for v in block[i]],
@@ -123,19 +131,19 @@ def _vanishing_witness(
 
 
 def _main_report(
-    sizes: tuple[int, int], m: int, p: int, cap: int, kernel: np.ndarray,
+    sizes: tuple[int, int], m: int, p: int, cap: int, kernel_dim: int,
     monos: Sequence[tuple[int, ...]], h_g: int, witness: dict[str, Any] | None, wall_ms: float,
 ) -> VerificationReport:
     """MAIN's report for |F|, |G| = sizes; the witness is dropped when h_f != h_g."""
     n_f, n_g = sizes
     params = {"m": m, "p": p, "cap": cap, "points_f": n_f, "points_g": n_g,
               "point_interpretation": "finite point subsets of F_p^n"}
-    h_f = len(monos) - kernel.shape[0]
+    h_f = len(monos) - kernel_dim
     metrics = {
         "h_f": int(h_f),
         "h_g": int(h_g),
         "monomials": len(monos),
-        "ideal_dim_f": int(kernel.shape[0]),
+        "ideal_dim_f": kernel_dim,
         "ideal_dim_g": len(monos) - int(h_g),
         "matrix_shape_f": [n_f, len(monos)],
         "matrix_shape_g": [n_g, len(monos)],
@@ -165,12 +173,12 @@ def verify_ideal_truncation_equality(
     values mean the hypothesis fails: NOT_APPLICABLE.
     """
     start = time.perf_counter()
-    kernel, monos, h_g = nested_kernel(points_f, points_g, m, p, cap)
+    rref, monos, h_g = nested_kernel(points_f, points_g, m, p, cap)
     witness = None
-    if len(monos) - kernel.shape[0] == h_g:
-        witness = _vanishing_witness(kernel, monos, points_g, p, cap)
+    if len(monos) - rref.free.size == h_g:
+        witness = _vanishing_witness(rref, monos, _points_array(points_g, p), p, cap)
     sizes = (len(points_f), len(points_g))
-    return _main_report(sizes, m, p, cap, kernel, monos, h_g, witness, _elapsed_ms(start))
+    return _main_report(sizes, m, p, cap, rref.free.size, monos, h_g, witness, _elapsed_ms(start))
 
 
 def _main2_params(n: int, d: int, q: int, p: int) -> dict[str, Any]:
@@ -185,13 +193,13 @@ def _main2_params(n: int, d: int, q: int, p: int) -> dict[str, Any]:
 
 
 def _main2_report(
-    params: dict[str, Any], sizes: tuple[int, int], kernel: np.ndarray,
+    params: dict[str, Any], sizes: tuple[int, int], kernel_dim: int,
     monos: Sequence[tuple[int, ...]], witness: dict[str, Any] | None, wall_ms: float,
 ) -> VerificationReport:
     """MAIN2's report for |uniform|, |mod-q| = sizes."""
     metrics = {
-        "h_uniform": len(monos) - int(kernel.shape[0]),
-        "kernel_dim": int(kernel.shape[0]),
+        "h_uniform": len(monos) - kernel_dim,
+        "kernel_dim": kernel_dim,
         "monomials": len(monos),
         "points_uniform": sizes[0],
         "points_modq": sizes[1],
@@ -220,11 +228,11 @@ def verify_main2(n: int, d: int, q: int, p: int, force: bool = False) -> Verific
             metrics={"reason": "d outside q-1..n-q+1"},
             wall_time_ms=_elapsed_ms(start),
         )
-    kernel, monos, _ = family_kernel(n, d, q - 1, p)
+    rref, monos, _ = family_rref(n, d, q - 1, p)
     modq = family_points(n, d, q)
-    witness = _vanishing_witness(kernel, monos, modq, p, 1)
+    witness = _vanishing_witness(rref, monos, modq, p, 1)
     sizes = (binomial(n, d), len(modq))
-    return _main2_report(params, sizes, kernel, monos, witness, _elapsed_ms(start))
+    return _main2_report(params, sizes, rref.free.size, monos, witness, _elapsed_ms(start))
 
 
 def verify_main_pair(n: int, d: int, q: int, p: int) -> tuple[VerificationReport, VerificationReport]:
@@ -237,14 +245,14 @@ def verify_main_pair(n: int, d: int, q: int, p: int) -> tuple[VerificationReport
     """
     start = time.perf_counter()
     params = _main2_params(n, d, q, p)
-    kernel, monos, h_g = family_kernel(n, d, q - 1, p, q)
+    rref, monos, h_g = family_rref(n, d, q - 1, p, q)
     modq = family_points(n, d, q)
-    witness = _vanishing_witness(kernel, monos, modq, p, 1)
+    witness = _vanishing_witness(rref, monos, modq, p, 1)
     sizes = (binomial(n, d), len(modq))
     wall_ms = _elapsed_ms(start)
     return (
-        _main_report(sizes, q - 1, p, 1, kernel, monos, h_g, witness, wall_ms),
-        _main2_report(params, sizes, kernel, monos, witness, wall_ms),
+        _main_report(sizes, q - 1, p, 1, rref.free.size, monos, h_g, witness, wall_ms),
+        _main2_report(params, sizes, rref.free.size, monos, witness, wall_ms),
     )
 
 
@@ -258,19 +266,22 @@ def verify_hrubes(p: int) -> VerificationReport:
     start = time.perf_counter()
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    kernel, monos, _ = family_kernel(2 * p, p, p - 1, p)
+    rref, monos, _ = family_rref(2 * p, p, p - 1, p)
     params = {"p": p, "n": 2 * p, "d": p, "degree_bound": p - 1}
     metrics = {
         "points": binomial(2 * p, p),
         "monomials": len(monos),
-        "h": len(monos) - int(kernel.shape[0]),
-        "kernel_dim": int(kernel.shape[0]),
+        "h": len(monos) - rref.free.size,
+        "kernel_dim": rref.free.size,
     }
-    # Constant monomial is column 0, and the value at the origin of a
-    # cap-1 polynomial is exactly its constant coefficient.
-    bad = np.nonzero(kernel[:, 0])[0] if kernel.shape[0] else np.array([], dtype=np.int64)
+    # The value at the origin of a cap-1 polynomial is its constant
+    # coefficient.  The constant monomial, column 0, is 1 at every point,
+    # so it is the first pivot, and kernel row j's coefficient there is
+    # -R[0, j]: row 0 of R decides the claim.
+    assert rref.pivots[0] == 0
+    bad = np.flatnonzero(rref.rows[0])
     if bad.size:
-        row = kernel[int(bad[0])]
+        row = rref.kernel_row(int(bad[0]), p)
         witness = {
             "polynomial": str(vector_to_polynomial(row, monos, p)),
             "point": [0] * (2 * p),
@@ -286,16 +297,16 @@ def verify_hlemma(p: int) -> VerificationReport:
     start = time.perf_counter()
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    kernel, monos, _ = family_kernel(4 * p, 2 * p, p - 1, p)
+    rref, monos, _ = family_rref(4 * p, 2 * p, p - 1, p)
     upper = family_points(4 * p, 3 * p)
-    witness = _vanishing_witness(kernel, monos, upper, p, 1)
+    witness = _vanishing_witness(rref, monos, upper, p, 1)
     params = {"p": p, "n": 4 * p, "d_lower": 2 * p, "d_upper": 3 * p, "degree_bound": p - 1}
     metrics = {
         "points_lower": binomial(4 * p, 2 * p),
         "points_upper": len(upper),
         "monomials": len(monos),
-        "h": len(monos) - int(kernel.shape[0]),
-        "kernel_dim": int(kernel.shape[0]),
+        "h": len(monos) - rref.free.size,
+        "kernel_dim": rref.free.size,
     }
     status = PASS if witness is None else FAIL
     return VerificationReport(CLAIM_HLEMMA, params, status, witness, metrics, _elapsed_ms(start))
@@ -365,17 +376,17 @@ def verify_grid_remark(grid: GridInstance) -> VerificationReport:
         "cap": cap,
     }
     expected = total - 1
-    kernel, monos, h_g = nested_kernel(points_f, points_g, m, grid.p, cap)
-    h_f = len(monos) - kernel.shape[0]
+    rref, monos, h_g = nested_kernel(points_f, points_g, m, grid.p, cap)
+    h_f = len(monos) - rref.free.size
     metrics = {
         "h_f": int(h_f),
         "h_g": int(h_g),
         "expected_h": expected,
-        "kernel_dim": int(kernel.shape[0]),
+        "kernel_dim": rref.free.size,
         "monomials": len(monos),
         "grid_points": total,
     }
-    witness = _vanishing_witness(kernel, monos, (grid.w,), grid.p, cap)
+    witness = _vanishing_witness(rref, monos, np.array([grid.w]), grid.p, cap)
     ok = h_f == expected and h_g == expected and witness is None
     status = PASS if ok else FAIL
     return VerificationReport(CLAIM_GRID_REMARK, params, status, witness, metrics, _elapsed_ms(start))

@@ -14,6 +14,7 @@ import pytest
 from hilbfam import cli, theorems
 from hilbfam.balancing import BalancingInstance, check_lower_bound, min_balancing_size
 from hilbfam.cli import main
+from hilbfam.gflinalg import RowReducer
 from hilbfam.hilbert import hilbert_series, ideal_truncation_basis, modq_report
 from hilbfam.poly import monomials_upto
 from hilbfam.setfam import SetFamily, Subset, family_points, format_family, make_uniform_family
@@ -362,22 +363,26 @@ class TestVerifyAllSharing:
     """`verify all` answers each MAIN/MAIN2 pair from one computation."""
 
     def test_one_elimination_per_pair(self):
-        family = mock.Mock(wraps=theorems.family_kernel)
+        family = mock.Mock(wraps=theorems.family_rref)
         nested = mock.Mock(wraps=theorems.nested_kernel)
         plain = mock.Mock(wraps=theorems.kernel_matrix)
-        with mock.patch.object(theorems, "family_kernel", family), \
+        with mock.patch.object(theorems, "family_rref", family), \
                 mock.patch.object(theorems, "nested_kernel", nested), \
-                mock.patch.object(theorems, "kernel_matrix", plain):
+                mock.patch.object(theorems, "kernel_matrix", plain), \
+                mock.patch.object(RowReducer, "kernel_matrix", autospec=True,
+                                  side_effect=RowReducer.kernel_matrix) as canonical:
             reports = cli._batch_reports(3, 8)
         claims = Counter(r.claim for r in reports)
         assert claims["MAIN"] == claims["MAIN2"] > 0
-        # Each pair, HRUBES and HLEMMA eliminate once with family_kernel, so
+        # Each pair, HRUBES and HLEMMA eliminate once with family_rref, so
         # none is left for MAIN2; GRID_REMARK is the only nested_kernel user.
         assert family.call_count == claims["MAIN"] + claims["HRUBES"] + claims["HLEMMA"]
         pairs = [c for c in family.call_args_list if len(c.args) == 5]
         assert len(pairs) == claims["MAIN"]
         assert nested.call_count == claims["GRID_REMARK"]
         assert plain.call_count == 0
+        # The scans take the RREF; no driver builds the canonical kernel.
+        assert canonical.call_count == 0
         order = [r.claim for r in reports if r.claim in ("MAIN", "MAIN2")]
         assert order == ["MAIN", "MAIN2"] * claims["MAIN"]
 

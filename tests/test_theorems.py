@@ -11,7 +11,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hilbfam import hilbert, theorems
-from hilbfam.hilbert import hilbert_value, modq_value, nested_kernel, vector_to_polynomial, wilson_value
+from hilbfam.gflinalg import Rref, matmul_mod
+from hilbfam.hilbert import (
+    _eval_rows,
+    hilbert_value,
+    kernel_matrix,
+    modq_value,
+    nested_kernel,
+    vector_to_polynomial,
+    wilson_value,
+)
 from hilbfam.poly import monomials_upto
 from hilbfam.setfam import (
     EnumerationCapError,
@@ -237,14 +246,14 @@ class TestMainPair:
         assert main.witnesses == main2.witnesses == witness
 
     def test_unequal_h_g_drops_main_witness_but_main2_still_scans(self, monkeypatch):
-        real_family = theorems.family_kernel
+        real_family = theorems.family_rref
 
         def shifted(*args):
-            kernel, monos, h_g = real_family(*args)
-            return kernel, monos, h_g + 1
+            rref, monos, h_g = real_family(*args)
+            return rref, monos, h_g + 1
 
         scan = mock.Mock(wraps=theorems._vanishing_witness)
-        monkeypatch.setattr(theorems, "family_kernel", shifted)
+        monkeypatch.setattr(theorems, "family_rref", shifted)
         monkeypatch.setattr(theorems, "_vanishing_witness", scan)
         main, main2 = verify_main_pair(6, 3, 3, 3)
         assert main.status == NOT_APPLICABLE
@@ -270,6 +279,28 @@ class TestHrubes:
     def test_p4_rejected(self):
         with pytest.raises(ValueError):
             verify_hrubes(4)
+
+    def test_fail_witness_from_row_0_of_r(self, monkeypatch):
+        # Nonzero entries in row 0 of R make kernel rows 2 and 4 nonzero at
+        # the constant monomial; the witness is the first of them, as the
+        # canonical kernel's column 0 gives it, at the origin.
+        p = 3
+        real = theorems.family_rref(2 * p, p, p - 1, p)
+        rows = real[0].rows.copy()
+        rows[0, [2, 4]] = [1, 2]
+        monkeypatch.setattr(theorems, "family_rref", lambda *args: (real[0]._replace(rows=rows), *real[1:]))
+        rep = verify_hrubes(p)
+        kernel = real[0]._replace(rows=rows).kernel(p)
+        bad = np.flatnonzero(kernel[:, 0])
+        assert bad.tolist() == [2, 4]
+        assert rep.status == FAIL
+        assert rep.witnesses == {
+            "polynomial": str(vector_to_polynomial(kernel[2], real[1], p)),
+            "point": [0] * (2 * p),
+            "value": int(kernel[2, 0]),
+        }
+        assert rep.witnesses["value"] == 2
+        assert rep.metrics == {"points": 20, "monomials": 22, "h": 15, "kernel_dim": 7}
 
 
 class TestHlemma:
@@ -341,6 +372,51 @@ class TestGridRemark:
                         assert rep.status == PASS, (p, n, sets, w)
 
 
+def kernel_scan_main2(n, d, q, p):
+    """Status, metrics and witness of ``verify_main2(n, d, q, p, force=True)``
+    by the kernel-based scan: the canonical kernel of the d-level from
+    ``kernel_matrix``, and every mod-q point (one block: n <= 10 gives at
+    most 1024) evaluated on all of it with ``_eval_rows`` and
+    ``matmul_mod``; the witness is the first nonzero (point, kernel row)."""
+    uniform, modq = family_points(n, d), family_points(n, d, q)
+    kernel, monos = kernel_matrix(uniform, q - 1, p, 1)
+    values = matmul_mod(_eval_rows(modq, np.array(monos), p, 1), kernel.T, p)
+    witness = None
+    if values.any():
+        i, j = np.argwhere(values)[0]
+        witness = {
+            "polynomial": str(vector_to_polynomial(kernel[j], monos, p)),
+            "point": modq[i].tolist(),
+            "value": int(values[i, j]),
+        }
+    metrics = {
+        "h_uniform": len(monos) - len(kernel),
+        "kernel_dim": len(kernel),
+        "monomials": len(monos),
+        "points_uniform": len(uniform),
+        "points_modq": len(modq),
+    }
+    status = PASS if witness is None else FAIL
+    if not q - 1 <= d <= n - q + 1:
+        metrics["vanishes_outside_range"] = witness is None
+        status = NOT_APPLICABLE
+    return status, metrics, witness
+
+
+class TestResidueScanOracle:
+    def test_forced_main2_sweep_matches_kernel_scan(self):
+        cases = witnesses = 0
+        for q, p in [(2, 2), (4, 2), (8, 2), (3, 3), (9, 3), (5, 5)]:
+            for n in range(1, 11):
+                for d in range(n + 1):
+                    rep = verify_main2(n, d, q, p, force=True)
+                    want = kernel_scan_main2(n, d, q, p)
+                    assert (rep.status, rep.metrics, rep.witnesses) == want, (n, d, q, p)
+                    cases += 1
+                    witnesses += want[2] is not None
+        assert (cases, witnesses) == (390, 138)
+
+
 class TestCrossImplications:
     def test_main_chain_implies_main2(self):
         # Truncation equality plus closed-form equality forces the mod-q
@@ -358,21 +434,28 @@ class TestCrossImplications:
 
 
 class TestWitnessMachinery:
+    """The residue scan on fixtures written as (R, pivots, free)."""
+
     def test_nonvanishing_kernel_row_is_reported(self):
         # Constant polynomial 1 never vanishes; the helper must surface
         # the first offending (polynomial, point) pair with its value.
+        # Its RREF is x1 and x2 as pivots, with R zero on the free column 1.
         monos = ((0, 0), (0, 1), (1, 0))
-        kernel = np.array([[1, 0, 0]])
-        witness = _vanishing_witness(kernel, monos, [(0, 0), (1, 1)], 2, 1)
+        rref = Rref(np.zeros((2, 1), dtype=np.float32), np.array([1, 2]), np.array([0]))
+        assert rref.kernel(2).tolist() == [[1, 0, 0]]
+        witness = _vanishing_witness(rref, monos, np.array([(0, 0), (1, 1)]), 2, 1)
         assert witness == {"polynomial": "1", "point": [0, 0], "value": 1}
 
     @pytest.mark.parametrize("p", [3, 1009])
     def test_first_pair_past_the_first_block_and_the_first_row(self, p):
         # The odd-size subsets of [13], 4096 points over two scan blocks;
         # the first block is every subset holding 1.  Each kernel row is
-        # c * (1 - x1) * x_k, zero on the first block: row 0 (k = 13) is
-        # nonzero first at a later point than rows 1 and 2 (k = 3, 4),
-        # which both are at {2, 3, 4}, so the witness is row 1 there.
+        # +-(1 - x1) * x_k, zero on the first block, normalised to 1 at its
+        # free column: x13 - x1*x13 (free x13, the first column past the
+        # constant) and x1*x_k - x_k for k = 4, 3 (free x1*x4 < x1*x3).
+        # Row 0 is nonzero first at a later point than rows 1 and 2, which
+        # both are at {2, 3, 4}, so the witness is row 1 there, value p-1.
+        # Every pivot column's R entry is 0 but the partner's, which is 1.
         # p = 1009 multiplies in float64, p = 3 in float32.
         n, m = 13, 2
         points = family_points(n, 1, 2)
@@ -383,11 +466,20 @@ class TestWitnessMachinery:
         def unit(*coords):
             return column[tuple(int(i in coords) for i in range(1, n + 1))]
 
+        pairs = [(unit(13), unit(1, 13)), (unit(1, 4), unit(4)), (unit(1, 3), unit(3))]
+        free = np.array([f for f, _ in pairs])
+        assert list(free) == sorted(free)
+        pivots = np.setdiff1d(np.arange(len(monos)), free)
+        rows = np.zeros((pivots.size, free.size), dtype=np.int64)
+        for j, (_, partner) in enumerate(pairs):
+            rows[np.searchsorted(pivots, partner), j] = 1
         kernel = np.zeros((3, len(monos)), dtype=np.int64)
-        for row, (k, c) in enumerate([(13, 1), (3, 2), (4, p - 1)]):
-            kernel[row, unit(k)] = c
-            kernel[row, unit(1, k)] = -c % p
-        witness = _vanishing_witness(kernel, monos, points, p, 1)
+        for j, (f, partner) in enumerate(pairs):
+            kernel[j, f] = 1
+            kernel[j, partner] = p - 1
+        rref = Rref(rows, pivots, free)
+        assert np.array_equal(rref.kernel(p), kernel)
+        witness = _vanishing_witness(rref, monos, points, p, 1)
 
         expected = None
         for i, pt in enumerate(points.tolist()):
@@ -404,12 +496,12 @@ class TestWitnessMachinery:
             if expected:
                 break
         i, j, body = expected
-        assert i >= hilbert._BLOCK_ROWS and j == 1
+        assert i >= hilbert._BLOCK_ROWS and j == 1 and body["value"] == p - 1
         assert witness == body
 
     def test_empty_kernel_has_no_witness(self):
-        kernel = np.zeros((0, 3), dtype=np.int64)
-        assert _vanishing_witness(kernel, ((0, 0), (0, 1), (1, 0)), [(0, 0)], 2, 1) is None
+        rref = Rref(np.zeros((3, 0), dtype=np.float32), np.arange(3), np.arange(0))
+        assert _vanishing_witness(rref, ((0, 0), (0, 1), (1, 0)), np.array([(0, 0)]), 2, 1) is None
 
     def test_fail_witness_reverifies(self):
         # Fabricate a failing check by feeding a kernel vector that is not
