@@ -19,9 +19,8 @@ from typing import Any, Sequence
 
 from .balancing import BalancingInstance, check_lower_bound, min_balancing_size
 from .hilbert import (
-    family_kernel,
+    family_rref,
     hilbert_series,
-    kernel_matrix,
     modq_report,
     uniform_report,
     vector_to_polynomial,
@@ -30,6 +29,7 @@ from .setfam import (
     EnumerationCapError,
     binomial,
     family_points,
+    family_sizes,
     is_prime,
     parse_family,
 )
@@ -124,22 +124,17 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_ideal(args: argparse.Namespace) -> int:
-    if args.modq is None:
-        # The uniform family's kernel, spun rather than streamed.
-        kernel, monos, _ = family_kernel(args.n, args.d, args.m, args.p, cap=args.cap)
-        points = binomial(args.n, args.d)
-    else:
-        arr = family_points(args.n, args.d, args.modq, args.cap)
-        kernel, monos = kernel_matrix(arr, args.m, args.p, 1)
-        points = len(arr)
+    sizes = family_sizes(args.n, args.d, args.modq, args.cap)
+    rref, monos, h = family_rref(args.n, sizes, args.m, args.p)
+    kernel = rref.kernel(args.p)
     out = {
         "n": args.n,
         "d": args.d,
         "p": args.p,
         "q": args.modq,
         "m": args.m,
-        "points": points,
-        "h": len(monos) - len(kernel),
+        "points": sum(binomial(args.n, k) for k in sizes),
+        "h": h,
         "ideal_dim": len(kernel),
         "basis": [str(vector_to_polynomial(row, monos, args.p)) for row in kernel],
     }
@@ -223,6 +218,9 @@ def _batch_reports(p_max: int, n_max: int) -> list:
 
 
 def cmd_verify_all(args: argparse.Namespace) -> int:
+    if args.p_max < 2:
+        # No prime is below 2, so the batch would be empty.
+        raise ValueError(f"--p-max must be at least 2, got {args.p_max}")
     reports = _batch_reports(args.p_max, args.n_max)
     statuses = [r.status for r in reports]
     out = {

@@ -24,15 +24,16 @@ elimination through the incremental reducer, fed in blocks of at most
 - for nested point sets F in G, the rows of G outside F go into F's
   reducer after F's RREF is taken, and the final rank is h(G).
 
-The uniform and mod-q families this library builds itself
-(:func:`family_rref`, :func:`uniform_report`, :func:`modq_report`, and
-through them the MAIN2, HRUBES and HLEMMA drivers) are unions of size
-levels, each one orbit of S_n permuting coordinates.  When a question's
-levels hold more than max(2 * columns, ``_BLOCK_ROWS``) points, their
-row space is spun from one seed row per level under two generators of
-S_n instead (see :func:`_feed_family`); below that, streaming every point
-is as cheap.  The RREF of a row space is unique, so both paths give the
-same kernels and values.
+The uniform and mod-q families this library builds itself are unions of
+size levels, each one orbit of S_n permuting coordinates, and every
+question about them at one degree bound (the reports, ``hilbfam ideal``,
+and the MAIN2, HRUBES and HLEMMA drivers) is one :func:`family_rref` over
+the levels that ``setfam.family_sizes`` names.  When a question's levels
+hold more than max(2 * columns, ``_BLOCK_ROWS``) points, their row space
+is spun from one seed row per level under two generators of S_n instead
+(see :func:`_feed_family`); below that, streaming every point is as
+cheap.  The RREF of a row space is unique, so both paths give the same
+kernels and values.
 
 The drivers take the RREF itself, as a :class:`~hilbfam.gflinalg.Rref`
 from :func:`family_rref` or :func:`nested_kernel`, not the canonical
@@ -42,8 +43,8 @@ residues, ``E[:, free] - E[:, pivots] @ R`` mod p, and builds only the
 witness row.  The scan still evaluates every point of the families it
 checks with a plain product: it is the cross-check that does not trust
 the elimination, so it must not lean on the symmetry argument either.
-:func:`family_kernel` and :func:`kernel_matrix` build the kernel from the
-same RREF for callers that want it.
+:meth:`~hilbfam.gflinalg.Rref.kernel` and :func:`kernel_matrix` build the
+kernel for callers that want it.
 """
 
 from __future__ import annotations
@@ -254,45 +255,26 @@ def nested_kernel(
 
 
 def family_rref(
-    n: int, d: int, m: int, p: int, q: int | None = None, cap: int | None = None
+    n: int, sizes: Sequence[int], m: int, p: int, more: Sequence[int] = ()
 ) -> tuple[Rref, tuple[Monomial, ...], int]:
-    """The RREF of the cap-1 degree-<= m evaluation rows of the d-uniform
-    family of [n], whose kernel is :func:`kernel_matrix`'s of
-    ``family_points(n, d)``, its monomial columns, and h at m of the family
-    of sizes congruent to d mod q, or of the d-uniform family when q is
-    None.
+    """The RREF of the cap-1 degree-<= m evaluation rows of the 0/1 points
+    of [n] with sizes in `sizes`, whose kernel is :func:`kernel_matrix`'s
+    of ``level_points(n, sizes)``, its monomial columns, and h at m of the
+    points with sizes in `sizes` or `more`.
 
-    One elimination, as :func:`nested_kernel`: the other size levels go
-    into the reducer after the RREF is taken, and the basis is allocated
-    once for all their points.  Both families are held to the enumeration
-    cap (`cap`, default the active one), uniform first, though neither
-    need be enumerated.
+    One elimination, as :func:`nested_kernel`: the levels of `more` outside
+    `sizes` go into the reducer after the RREF is taken, and the basis is
+    allocated once for all their points.  Callers take both groups from
+    ``setfam.family_sizes``, which holds them to the enumeration cap;
+    neither need be enumerated.
     """
-    family_sizes(n, d, cap=cap)
-    others = [k for k in family_sizes(n, d, q, cap) if k != d]
+    others = [k for k in more if k not in sizes]
     monos = monomials_upto(n, m, 1)
-    red = RowReducer(p, len(monos), sum(binomial(n, k) for k in [d, *others]))
-    _feed_family(red, n, (d,), monos)
+    red = RowReducer(p, len(monos), sum(binomial(n, k) for k in [*sizes, *others]))
+    _feed_family(red, n, sizes, monos)
     rref = red.rref()
     _feed_family(red, n, others, monos)
     return rref, monos, red.rank
-
-
-def family_kernel(
-    n: int, d: int, m: int, p: int, q: int | None = None, cap: int | None = None
-) -> tuple[np.ndarray, tuple[Monomial, ...], int]:
-    """:func:`family_rref` with the canonical kernel in place of the RREF."""
-    rref, monos, h = family_rref(n, d, m, p, q, cap)
-    return rref.kernel(p), monos, h
-
-
-def _family_value(n: int, sizes: Sequence[int], m: int, p: int) -> tuple[int, int]:
-    """h at m of the 0/1 points of [n] with sizes in `sizes`, and the
-    number of monomial columns."""
-    monos = monomials_upto(n, m, 1)
-    red = RowReducer(p, len(monos), sum(binomial(n, k) for k in sizes))
-    _feed_family(red, n, sizes, monos)
-    return red.rank, len(monos)
 
 
 def vector_to_polynomial(vec: np.ndarray, monomials: Sequence[Monomial], p: int) -> Polynomial:
@@ -379,9 +361,9 @@ def uniform_report(n: int, d: int, p: int, m: int, cap: int | None = None) -> Hi
     """Report for the complete d-uniform family, with the closed form
     attached whenever m is inside its range."""
     params = Params(n=n, p=p, d=d, m=m)
-    h, n_monos = _family_value(n, family_sizes(n, d, cap=cap), m, p)
+    rref, _, h = family_rref(n, family_sizes(n, d, cap=cap), m, p)
     closed = binomial(n, m) if m <= min(d, n - d) else None
-    return HilbertReport(params, 1, h, closed, n_monos - h, min(d, n - d))
+    return HilbertReport(params, 1, h, closed, rref.free.size, min(d, n - d))
 
 
 def modq_report(n: int, d: int, q: int, p: int, m: int, cap: int | None = None) -> HilbertReport:
@@ -391,5 +373,5 @@ def modq_report(n: int, d: int, q: int, p: int, m: int, cap: int | None = None) 
     if not is_power_of(q, p):
         raise ValueError(f"q must be a positive power of p={p}, got {q}")
     params = Params(n=n, p=p, d=d, m=m, q=q)
-    h, n_monos = _family_value(n, family_sizes(n, d, q, cap), m, p)
-    return HilbertReport(params, 1, h, modq_value(n, d, q, m), n_monos - h, min(d, n - d))
+    rref, _, h = family_rref(n, family_sizes(n, d, q, cap), m, p)
+    return HilbertReport(params, 1, h, modq_value(n, d, q, m), rref.free.size, min(d, n - d))

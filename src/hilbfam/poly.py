@@ -31,7 +31,9 @@ def monomials_upto(n: int, m: int, cap: int) -> tuple[Monomial, ...]:
     """All exponent vectors with entries <= cap and total degree <= m.
 
     Returned in the global monomial order; this tuple is the column
-    index set of every evaluation matrix.
+    index set of every evaluation matrix.  Counted first, by inclusion-
+    exclusion over the entries past cap: past the enumeration cap this
+    raises EnumerationCapError before listing anything.
     """
     if n < 1:
         raise ValueError(f"need at least one variable, got n={n}")
@@ -39,20 +41,34 @@ def monomials_upto(n: int, m: int, cap: int) -> tuple[Monomial, ...]:
         raise ValueError(f"degree bound must be nonnegative, got {m}")
     if cap < 1:
         raise ValueError(f"exponent cap must be positive, got {cap}")
+    top = min(m, n * cap)
+    count = sum(
+        (-1) ** j * math.comb(n, j) * math.comb(top - j * (cap + 1) + n, n)
+        for j in range(min(n, top // (cap + 1)) + 1)
+    )
+    limit = enumeration_cap()
+    if count > limit:
+        raise EnumerationCapError(f"{count} monomials in {n} variables up to degree {m}, cap is {limit}")
     out: list[Monomial] = []
-    vec = [0] * n
-
-    def rec(i: int, remaining: int) -> None:
-        if i == n:
+    for k in range(top + 1):
+        vec, i, tail = [0] * n, -1, k
+        while True:
+            # The weight `tail` goes rightmost past entry i: the smallest
+            # way to finish the vector.
+            for j in range(n - 1, i, -1):
+                vec[j] = min(cap, tail)
+                tail -= vec[j]
             out.append(tuple(vec))
-            return
-        for e in range(min(cap, remaining) + 1):
-            vec[i] = e
-            rec(i + 1, remaining - e)
-        vec[i] = 0
-
-    rec(0, m)
-    out.sort(key=monomial_sort_key)
+            # The next vector of degree k raises by one the rightmost entry
+            # below cap with weight to its right, taking one unit of it.
+            i, tail = n - 1, 0
+            while i >= 0 and (vec[i] == cap or not tail):
+                tail += vec[i]
+                i -= 1
+            if i < 0:
+                break
+            vec[i] += 1
+            tail -= 1
     return tuple(out)
 
 

@@ -38,6 +38,7 @@ from .setfam import (
     binomial,
     enumeration_cap,
     family_points,
+    family_sizes,
     is_power_of,
     is_prime,
 )
@@ -228,7 +229,7 @@ def verify_main2(n: int, d: int, q: int, p: int, force: bool = False) -> Verific
             metrics={"reason": "d outside q-1..n-q+1"},
             wall_time_ms=_elapsed_ms(start),
         )
-    rref, monos, _ = family_rref(n, d, q - 1, p)
+    rref, monos, _ = family_rref(n, family_sizes(n, d), q - 1, p)
     modq = family_points(n, d, q)
     witness = _vanishing_witness(rref, monos, modq, p, 1)
     sizes = (binomial(n, d), len(modq))
@@ -245,7 +246,7 @@ def verify_main_pair(n: int, d: int, q: int, p: int) -> tuple[VerificationReport
     """
     start = time.perf_counter()
     params = _main2_params(n, d, q, p)
-    rref, monos, h_g = family_rref(n, d, q - 1, p, q)
+    rref, monos, h_g = family_rref(n, family_sizes(n, d), q - 1, p, family_sizes(n, d, q))
     modq = family_points(n, d, q)
     witness = _vanishing_witness(rref, monos, modq, p, 1)
     sizes = (binomial(n, d), len(modq))
@@ -266,7 +267,7 @@ def verify_hrubes(p: int) -> VerificationReport:
     start = time.perf_counter()
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    rref, monos, _ = family_rref(2 * p, p, p - 1, p)
+    rref, monos, _ = family_rref(2 * p, family_sizes(2 * p, p), p - 1, p)
     params = {"p": p, "n": 2 * p, "d": p, "degree_bound": p - 1}
     metrics = {
         "points": binomial(2 * p, p),
@@ -297,7 +298,7 @@ def verify_hlemma(p: int) -> VerificationReport:
     start = time.perf_counter()
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    rref, monos, _ = family_rref(4 * p, 2 * p, p - 1, p)
+    rref, monos, _ = family_rref(4 * p, family_sizes(4 * p, 2 * p), p - 1, p)
     upper = family_points(4 * p, 3 * p)
     witness = _vanishing_witness(rref, monos, upper, p, 1)
     params = {"p": p, "n": 4 * p, "d_lower": 2 * p, "d_upper": 3 * p, "degree_bound": p - 1}

@@ -76,6 +76,17 @@ class TestHilbertCommand:
         assert out == ""
         assert "2^62" in err
 
+    def test_a_thousand_variables(self, capsys):
+        code, out, _ = run_cli(capsys, "hilbert", "--n", "1000", "--d", "1", "--p", "2", "--m", "1")
+        assert code == 0
+        assert json.loads(out)["h_oracle"] == 1000
+
+    def test_too_many_monomials_exits_three(self, capsys):
+        # 614 429 672 columns: refused before any is listed.
+        code, _, err = run_cli(capsys, "hilbert", "--n", "30", "--d", "1", "--p", "2", "--m", "15")
+        assert code == 3
+        assert "614429672 monomials in 30 variables up to degree 15" in err
+
 
 class TestSeriesCommand:
     def test_csv_rows(self, capsys):
@@ -109,26 +120,31 @@ class TestIdealCommand:
             ["--n", "16", "--d", "8", "--p", "2", "--m", "3"],
             ["--n", "12", "--d", "6", "--p", "5", "--m", "2"],
             ["--n", "9", "--d", "4", "--p", "3", "--m", "2", "--format", "text"],
+            # 32 768 points, above max(2 * 697 columns, 2048): spun.
+            ["--n", "16", "--d", "0", "--modq", "2", "--p", "2", "--m", "3"],
+            # 1365 points: streamed.
+            ["--n", "12", "--d", "1", "--modq", "3", "--p", "3", "--m", "3"],
         ],
-        ids=["spun-p2", "streamed-p5", "text-p3"],
+        ids=["spun-p2", "streamed-p5", "text-p3", "modq-spun-p2", "modq-streamed-p3"],
     )
     def test_uniform_output_matches_streamed_path(self, capsys, argv):
-        # Without --modq, the kernel comes from family_kernel instead of
-        # streaming every point; the output is the streamed path's.
-        family = mock.Mock(wraps=cli.family_kernel)
-        with mock.patch.object(cli, "family_kernel", family):
+        # Either family's kernel comes from one family_rref over its size
+        # levels instead of streaming every point through kernel_matrix; the
+        # output is the streamed path's.
+        family = mock.Mock(wraps=cli.family_rref)
+        with mock.patch.object(cli, "family_rref", family):
             code, out, _ = run_cli(capsys, "ideal", *argv)
         assert code == 0
         assert family.call_count == 1
         args = cli.build_parser().parse_args(["ideal", *argv])
-        points = family_points(args.n, args.d)
+        points = family_points(args.n, args.d, args.modq)
         basis = ideal_truncation_basis(points, args.m, args.p, 1)
         cli._emit(
             {
                 "n": args.n,
                 "d": args.d,
                 "p": args.p,
-                "q": None,
+                "q": args.modq,
                 "m": args.m,
                 "points": len(points),
                 "h": len(monomials_upto(args.n, args.m, 1)) - len(basis),
@@ -151,6 +167,17 @@ class TestIdealCommand:
         code, _, err = run_cli(capsys, *argv, "--cap", "12869")
         assert code == 3
         assert "cap is 12869" in err
+        modq = ["ideal", "--n", "16", "--d", "0", "--modq", "2", "--p", "2", "--m", "1"]
+        code, _, err = run_cli(capsys, *modq)
+        assert code == 3
+        assert "family would contain 32768 sets, cap is 10000" in err
+        code, out, _ = run_cli(capsys, *modq, "--cap", "32768")
+        assert code == 0
+        # x1 + ... + x16 vanishes on the even sets mod 2.
+        assert json.loads(out)["basis"] == [" + ".join(f"x{i}" for i in range(16, 0, -1))]
+        code, _, err = run_cli(capsys, *modq, "--cap", "32767")
+        assert code == 3
+        assert "cap is 32767" in err
 
 
 class TestVerifyCommands:
@@ -307,6 +334,13 @@ class TestUsage:
     def test_unknown_flag(self, capsys):
         assert run_cli(capsys, "hilbert", "--bogus", "1")[0] == 2
 
+    def test_verify_all_rejects_an_empty_batch(self, capsys):
+        # No prime is below 2, so --p-max 1 would check nothing.
+        code, out, err = run_cli(capsys, "verify", "all", "--p-max", "1")
+        assert code == 2
+        assert out == ""
+        assert "--p-max must be at least 2, got 1" in err
+
     def test_text_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "hrubes", "--p", "2", "--format", "text"
@@ -348,12 +382,20 @@ class TestDeterminism:
                  "--format", "csv"],
                 "6b54be751185524975fdd68378297e4d5f9bfedddf8609e42a0438eaf00c2a91",
             ),
+            (
+                ["ideal", "--n", "16", "--d", "0", "--modq", "2", "--p", "2", "--m", "3"],
+                "67c4bf1a4da6feec9e75e1e748ae41419788e02063671f7b7c40ed9f9a79ff35",
+            ),
+            (
+                ["ideal", "--n", "12", "--d", "1", "--modq", "3", "--p", "3", "--m", "3"],
+                "44761c3288a231bd5051c99e624e0701a0c229d2cae6e94eccf28760d8fe88af",
+            ),
         ],
-        ids=["verify-all-p5-n11", "series-modq4-p2-csv"],
+        ids=["verify-all-p5-n11", "series-modq4-p2-csv", "ideal-modq2-p2", "ideal-modq3-p3"],
     )
     def test_larger_golden_bytes(self, capsys, argv, digest):
-        # Larger inputs than the default batch, and a p=2 series fed to
-        # one reducer degree by degree.
+        # Larger inputs than the default batch, a p=2 series fed to one
+        # reducer degree by degree, and a spun and a streamed mod-q ideal.
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -15,7 +15,7 @@ from hilbfam.gflinalg import RowReducer
 from hilbfam.hilbert import (
     HilbertReport,
     _eval_rows,
-    family_kernel,
+    family_rref,
     hilbert_series,
     hilbert_value,
     ideal_truncation_basis,
@@ -557,7 +557,7 @@ class TestReports:
 
 def levels_fed(n, d, q, m, p, spin):
     """The d-level's reducer kernel, then the whole family's echelon rows and
-    kernel, with every size level fed one way, in family_kernel's order."""
+    kernel, with every size level fed one way, in family_rref's order."""
     monos = monomials_upto(n, m, 1)
     red = RowReducer(p, len(monos))
     hilbert._feed_family(red, n, (d,), monos, spin=spin)
@@ -602,7 +602,8 @@ class TestSpinning:
 
         monkeypatch.setattr(RowReducer, "add_rows", counting)
         monkeypatch.setattr(RowReducer, "add_basis_images", counting_images)
-        kernel, monos, h = family_kernel(16, 8, 3, 2)
+        rref, monos, h = family_rref(16, (8,), 3, 2)
+        kernel = rref.kernel(2)
         assert h == len(monos) - len(kernel) == binomial(16, 3)
         assert sum(fed) == 1 + 2 * h
 
@@ -632,7 +633,7 @@ class TestSpinning:
         count = len(family_points(16, 8, q))
         calls = [
             lambda: family_points(16, 8, q),
-            lambda: family_kernel(16, 8, 1, 2, q),
+            lambda: family_rref(16, family_sizes(16, 8), 1, 2, family_sizes(16, 8, q)),
             lambda: modq_report(16, 8, q, 2, 1) if q else uniform_report(16, 8, 2, 1),
         ]
         monkeypatch.setenv("HILBFAM_ENUM_CAP", str(count))

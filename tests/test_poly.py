@@ -47,6 +47,36 @@ class TestMonomialsUpto:
         monos = monomials_upto(6, 3, 1)
         assert len(monos) == sum(comb(6, k) for k in range(4))
 
+    def test_same_tuple_as_the_recursive_enumerator(self):
+        def recursive(n, m, cap):
+            out, vec = [], [0] * n
+
+            def rec(i, remaining):
+                if i == n:
+                    out.append(tuple(vec))
+                    return
+                for e in range(min(cap, remaining) + 1):
+                    vec[i] = e
+                    rec(i + 1, remaining - e)
+                vec[i] = 0
+
+            rec(0, m)
+            return tuple(sorted(out, key=lambda mono: (sum(mono), mono)))
+
+        for n, m, cap in product(range(1, 7), range(7), range(1, 4)):
+            assert monomials_upto(n, m, cap) == recursive(n, m, cap), (n, m, cap)
+
+    @pytest.mark.parametrize("n,m,cap", [(30, 3, 1), (5, 6, 2), (4, 20, 3), (7, 4, 4)])
+    def test_count_checked_against_the_enumeration_cap(self, monkeypatch, n, m, cap):
+        monomials_upto.cache_clear()
+        count = len(monomials_upto(n, m, cap))
+        monomials_upto.cache_clear()
+        monkeypatch.setenv(ENUMERATION_CAP_ENV, str(count - 1))
+        with pytest.raises(EnumerationCapError):
+            monomials_upto(n, m, cap)
+        monkeypatch.setenv(ENUMERATION_CAP_ENV, str(count))
+        assert len(monomials_upto(n, m, cap)) == count
+
 
 class TestEvaluate:
     def test_examples(self):

@@ -180,13 +180,13 @@ class TestMain2:
 
     def test_spun_report_and_kernel_equal_streamed(self, monkeypatch):
         spun = verify_main2(17, 8, 2, 2).as_dict()
-        spun_kernel = hilbert.family_kernel(17, 8, 1, 2)
+        spun_rref, *spun_rest = hilbert.family_rref(17, (8,), 1, 2)
         real = hilbert._feed_family
         monkeypatch.setattr(hilbert, "_feed_family", lambda *args: real(*args, spin=False))
         assert verify_main2(17, 8, 2, 2).as_dict() == spun
-        streamed_kernel = hilbert.family_kernel(17, 8, 1, 2)
-        assert np.array_equal(spun_kernel[0], streamed_kernel[0])
-        assert spun_kernel[1:] == streamed_kernel[1:]
+        streamed_rref, *streamed_rest = hilbert.family_rref(17, (8,), 1, 2)
+        assert np.array_equal(spun_rref.kernel(2), streamed_rref.kernel(2))
+        assert spun_rest == streamed_rest
 
     def test_sweep_small_parameters(self):
         for (p, q) in [(2, 2), (3, 3)]:
@@ -285,7 +285,7 @@ class TestHrubes:
         # the constant monomial; the witness is the first of them, as the
         # canonical kernel's column 0 gives it, at the origin.
         p = 3
-        real = theorems.family_rref(2 * p, p, p - 1, p)
+        real = theorems.family_rref(2 * p, (p,), p - 1, p)
         rows = real[0].rows.copy()
         rows[0, [2, 4]] = [1, 2]
         monkeypatch.setattr(theorems, "family_rref", lambda *args: (real[0]._replace(rows=rows), *real[1:]))
