@@ -8,19 +8,22 @@ included; since the RREF of a row space is unique, rank, pivot columns
 and the canonical kernel basis do not depend on how the rows arrive.
 
 The engine follows the delayed-update scheme of Dumas, Giorgi and
-Pernet (FFLAS-FFPACK, ACM TOMS 2008).  A block of rows is reduced once
-against the basis, then eliminated in panels of ``_PANEL`` rows.  Each
-panel is reduced against the rows earlier panels of the same block
-added, brought to RREF by recursive halving down to ``_LEAF``-row leaves
-(each merge is two products: the top half's pivots are cleared from the
-bottom half, then the bottom half's from the top), and clears its new
-pivots only from the rows its own block added.  Once the block is done,
+Pernet (FFLAS-FFPACK, ACM TOMS 2008).  The basis is kept as R, its rows
+on the current free columns only: each row's 1 at its own pivot and 0s
+at the other pivots are implicit.  A block of rows is reduced against R
+once, ``block[:, free] - block[:, pivots] @ R``, and from then on lives
+on the free columns alone.  It is eliminated in panels of ``_PANEL``
+rows.  Each panel is reduced against the rows earlier panels of the same
+block added, brought to RREF by recursive halving down to ``_LEAF``-row
+leaves (each merge is two products: the top half's pivots are cleared
+from the bottom half, then the bottom half's from the top), and clears
+its new pivots from the rows its own block added, which are compacted
+onto the columns still free after every panel.  Once the block is done,
 one pass clears all of the block's new pivots from the earlier blocks'
-rows, one product per ``_CHUNK`` rows, so the basis is in RREF again
-whenever :meth:`RowReducer.add_rows` returns.  Reducing against rows in
-RREF multiplies only on the free columns and zeroes the pivot ones.
-Each update ``sub -= product; sub %= p`` reduces mod p once: the product
-comes back exact and unreduced.
+rows and compacts them, one product per ``_CHUNK`` rows, so the basis is
+in RREF again whenever :meth:`RowReducer.add_rows` returns.  Each update
+``sub -= product; sub %= p`` reduces mod p once: the product comes back
+exact and unreduced.
 
 The working dtype is fixed at construction from ``max(cols, 1) *
 (p-1)^2``, the largest sum a product can reach.  Under 2^21 the basis,
@@ -31,10 +34,10 @@ in int64 arithmetic under 2^62.  :class:`RowReducer` refuses larger
 fields.  What the reducer returns is int64 either way.
 
 A bool block, the form cap-1 evaluation rows arrive in, is already
-reduced (0 and 1 lie in 0..p-1 for every p) and is converted once,
-straight to the working dtype; any other input is reduced with int64
-``% p`` first.  :meth:`RowReducer.add_basis_images` feeds permuted basis
-rows, which are reduced and in the working dtype already.
+reduced (0 and 1 lie in 0..p-1 for every p), and only its free and pivot
+columns are converted to the working dtype; any other input is reduced
+with int64 ``% p`` first.  :meth:`RowReducer.add_basis_images` feeds
+permuted basis rows, written straight from R in the working dtype.
 """
 
 from __future__ import annotations
@@ -65,6 +68,8 @@ _INT64_EXACT_LIMIT = 2**62
 _PANEL = 128
 _LEAF = 16
 _CHUNK = 128
+# Entries per block of the float32 `_mod`: 256 KiB, within a core's L2.
+_MOD_ENTRIES = 1 << 16
 
 
 def _mod(x: np.ndarray, p: int) -> np.ndarray:
@@ -73,15 +78,21 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
     this is the offset floor x -= p * floor(x * (1/p) + 0.5/p): the exact
     quotient plus the offset lies at least 0.5/p from an integer, and in
     that range its three roundings move it by under 0.375/p, so the floor
-    is the true quotient and every other step is exact."""
-    if x.dtype == np.float32:
-        q = x * np.float32(1 / p)
+    is the true quotient and every other step is exact.  It runs over
+    blocks of about ``_MOD_ENTRIES`` entries, so the quotient is a small
+    temporary and its five passes stay in cache."""
+    if x.dtype != np.float32:
+        x %= p
+        return x
+    rows = x if x.ndim == 2 else x.reshape(1, -1)
+    step = max(1, _MOD_ENTRIES // max(rows.shape[1], 1))
+    for i in range(0, rows.shape[0], step):
+        part = rows[i : i + step]
+        q = part * np.float32(1 / p)
         q += np.float32(0.5 / p)
         np.floor(q, out=q)
         q *= np.float32(p)
-        x -= q
-    else:
-        x %= p
+        part -= q
     return x
 
 
@@ -164,11 +175,14 @@ class Rref(NamedTuple):
         return row
 
     def kernel_product(self, a: np.ndarray, p: int) -> np.ndarray:
-        """(a @ kernel.T) mod p for `a` with entries in 0..p-1 (bool counts
-        as 0/1): ``a[:, free] - a[:, pivots] @ rows``, one exact product,
-        reduced once.  Returned in the product's dtype."""
-        out = _matmul_exact(np.take(a, self.pivots, axis=1), self.rows, p)
-        np.subtract(np.take(a, self.free, axis=1), out, out=out)
+        """(a @ kernel.T) mod p for `a` with entries in 0..p-1 whose columns
+        are the pivots, then the free columns, best in
+        ``product_dtype(rank, p)``: its free part minus its pivot part times
+        `rows`, one exact product on views, reduced once.  Returned in the
+        product's dtype."""
+        rank = self.pivots.size
+        out = _matmul_exact(a[:, :rank], self.rows, p)
+        np.subtract(a[:, rank:], out, out=out)
         return _mod(out, p)
 
 
@@ -246,15 +260,26 @@ class RowReducer:
     is fixed (leftmost nonzero column wins) and never depends on the
     order in which rows arrive, by uniqueness of the RREF.
 
-    The basis is float32 while ``max(cols, 1) * (p-1)^2 < 2^21``: every
+    The basis is stored as R: its rows in the order they joined, on the
+    current free columns only, one after another in one flat buffer (the
+    store).  Each row's 1 at its own pivot and 0s at the other pivots are
+    implicit.  Compaction runs at two rates: a block's new rows are
+    compacted onto the columns still free after every panel, and the
+    earlier blocks' rows are back-eliminated and compacted once, when the
+    block is done, both in place, front to back.  :meth:`basis_rows`
+    returns a read-only copy; it, :meth:`echelon_rows` and :meth:`rref`
+    rebuild what they return from R.
+
+    The store is float32 while ``max(cols, 1) * (p-1)^2 < 2^21``: every
     value the elimination makes (an entry minus a product of at most
     ``cols`` terms, a row scaled by an inverse) is then an integer in
     [-2^21, 2^21), where float32 and :func:`_mod` are exact.  Otherwise
     it is int64.
 
     A caller that knows how many rows it will feed passes that count as
-    `rows`: the basis is then allocated once, for min(rows, cols) rows, the
-    most those rows can add.  Otherwise it doubles as it fills.
+    `rows`: the store is then allocated once, for min(rows, cols) rows of
+    `cols` entries, more than R ever needs.  Otherwise it doubles as it
+    fills.
     """
 
     def __init__(self, p: int, cols: int, rows: int = 0):
@@ -270,19 +295,19 @@ class RowReducer:
             )
         self.p = p
         self.cols = cols
-        # Growing basis matrix in the working dtype, its pivot column per
-        # row, and a mask of the pivot columns.
+        # The store in the working dtype, the pivot column of each row in
+        # join order, and the free columns, ascending.
         dtype = np.float32 if bound < _FLOAT32_EXACT_LIMIT else np.int64
-        self._basis = np.zeros((min(rows, cols), cols), dtype=dtype)
-        self._pivots: list[int] = []
-        self._is_pivot = np.zeros(cols, dtype=bool)
+        self._store = np.zeros(min(rows, cols) * cols, dtype=dtype)
+        self._pivots = np.zeros(0, dtype=np.intp)
+        self._free = np.arange(cols)
 
     @property
     def rank(self) -> int:
-        return len(self._pivots)
+        return self._pivots.size
 
     def pivot_columns(self) -> tuple[int, ...]:
-        return tuple(sorted(self._pivots))
+        return tuple(sorted(self._pivots.tolist()))
 
     def add_rows(self, rows) -> np.ndarray:
         """Bring a row, or a block of rows, into the basis, and return the
@@ -298,60 +323,99 @@ class RowReducer:
             arr = arr[None, :]
         if arr.shape[1] != self.cols:
             raise ValueError(f"expected {self.cols} columns, got {arr.shape[1]}")
-        # One conversion to a fresh C-contiguous block in the working dtype.
-        return self._add_block(np.ascontiguousarray(arr, dtype=self._basis.dtype))
+        return self._add_block(self._reduce(arr))
 
     def add_basis_images(self, start: int, stop: int, perms: list[np.ndarray]) -> None:
         """Bring in ``row[perm]`` for every basis row start..stop, in the
         order the rows joined the basis, and every column permutation in
         `perms`: all of the first permutation's images, then the next's.
         The rows are reduced and in the working dtype already."""
-        rows = self._basis[start : min(stop, self.rank)]
-        self._add_block(np.concatenate([rows[:, perm] for perm in perms]))
+        self._add_block(self._reduce(self._full_rows(slice(start, stop), perms)))
 
     def basis_rows(self, start: int, stop: int) -> np.ndarray:
-        """Read-only view of the RREF rows start..stop in the order they
-        joined the basis, in the working dtype, valid until rows are next
-        added."""
-        view = self._basis[start : min(stop, self.rank)]
-        view.flags.writeable = False
-        return view
+        """Read-only copy of the RREF rows start..stop, in the order they
+        joined the basis, in the working dtype."""
+        rows = self._full_rows(slice(start, stop))
+        rows.flags.writeable = False
+        return rows
 
     def echelon_rows(self) -> np.ndarray:
         """The nonzero rows of the RREF, ordered by pivot column, as int64."""
-        order = np.argsort(np.asarray(self._pivots, dtype=np.int64))
-        return self._basis[order].astype(np.int64, copy=False)
+        return self._full_rows(np.argsort(self._pivots)).astype(np.int64, copy=False)
 
     def rref(self) -> Rref:
         """A copy of the RREF as an :class:`Rref`, unchanged by later rows."""
-        order = np.argsort(np.asarray(self._pivots, dtype=np.int64))
-        free = np.flatnonzero(~self._is_pivot)
-        return Rref(self._basis[np.ix_(order, free)], np.flatnonzero(self._is_pivot), free)
+        order = np.argsort(self._pivots)
+        return Rref(self._rows()[order], self._pivots[order], self._free.copy())
 
     def kernel_matrix(self) -> np.ndarray:
         """Canonical kernel basis, one row per free column, ascending (see
         :meth:`Rref.kernel`)."""
         return self.rref().kernel(self.p)
 
+    def _rref_in_place(self) -> Rref:
+        """The RREF as an :class:`Rref` whose rows are the store itself,
+        without a copy: the basis rows are put in pivot order in place,
+        one cycle of the permutation at a time, and that becomes their
+        join order; then the store is cut back to R, in place, so the
+        memory past it is freed.  Later pivots move the store elsewhere
+        and leave the result as it is.  Call it once per reducer."""
+        rows = self._rows()
+        order = np.argsort(self._pivots).tolist()
+        seen = [False] * len(order)
+        for i, src in enumerate(order):
+            if seen[i] or src == i:
+                continue
+            held = rows[i].copy()
+            j = i
+            while order[j] != i:
+                rows[j] = rows[order[j]]
+                seen[j] = True
+                j = order[j]
+            rows[j] = held
+            seen[j] = True
+        del rows
+        # ndarray.resize refuses while any view of the store is alive.
+        self._store.resize(self.rank * self._free.size)
+        self._pivots = np.sort(self._pivots)
+        return Rref(self._rows(), self._pivots.copy(), self._free.copy())
+
+    # -- the store ---------------------------------------------------------
+
+    def _view(self, first: int, count: int, stride: int, width: int) -> np.ndarray:
+        """Rows first..first+count of the store laid out `stride` entries
+        apart, on their first `width` entries."""
+        flat = self._store[first * stride : (first + count) * stride]
+        return flat.reshape(count, stride)[:, :width]
+
+    def _rows(self) -> np.ndarray:
+        """R: the basis rows on the free columns, in join order (a view)."""
+        width = self._free.size
+        return self._view(0, self.rank, width, width)
+
+    def _full_rows(self, idx: slice | np.ndarray, perms: list[np.ndarray] | None = None) -> np.ndarray:
+        """The basis rows `idx` (positions in join order) on every column,
+        written straight from R; with `perms`, ``row[perm]`` for every row,
+        one permutation after another."""
+        pivots = self._pivots[idx]
+        rows = self._rows()[idx]
+        inverses = [np.argsort(perm) for perm in perms] if perms else [np.arange(self.cols)]
+        full = np.zeros((len(inverses) * pivots.size, self.cols), dtype=self._store.dtype)
+        for t, inv in enumerate(inverses):
+            image = full[t * pivots.size : (t + 1) * pivots.size]
+            image[:, inv[self._free]] = rows
+            image[np.arange(pivots.size), inv[pivots]] = 1
+        return full
+
+    def _reserve(self, size: int, used: int) -> None:
+        """Make the store hold `size` entries, keeping its first `used`."""
+        if size > self._store.size:
+            rows = min(max(64, 2 * self._store.size // self.cols, -(-size // self.cols)), self.cols)
+            fresh = np.zeros(rows * self.cols, dtype=self._store.dtype)
+            fresh[:used] = self._store[:used]
+            self._store = fresh
+
     # -- elimination -------------------------------------------------------
-
-    def _reduce_against(self, block: np.ndarray, start: int, stop: int) -> None:
-        """Reduce `block` in place against basis rows start..stop.
-
-        Each basis row is 1 at its own pivot and 0 at every other pivot,
-        so on pivot columns the full product would only cancel these
-        rows' coefficients: multiply on the free columns and zero these
-        rows' pivots."""
-        pivots = self._pivots[start:stop]
-        coeffs = block[:, pivots]
-        if coeffs.any():
-            # np.take gathers columns faster than fancy indexing does.
-            free = np.flatnonzero(~self._is_pivot)
-            prod = _matmul_exact(coeffs, np.take(self._basis[start:stop], free, axis=1), self.p)
-            sub = np.take(block, free, axis=1)
-            _subtract(sub, prod, self.p)
-            block[:, free] = sub
-            block[:, pivots] = 0
 
     def _eliminate(self, panel: np.ndarray) -> tuple[list[int], list[int]]:
         """Bring `panel` to RREF in place, its dependent rows to zero; return
@@ -402,52 +466,73 @@ class RowReducer:
             lo = min(pivots)
             _subtract(target[:, lo:], _matmul_exact(coeffs, rows[:, lo:], self.p), self.p)
 
-    def _back_eliminate(self, rows: np.ndarray, pivots: list[int], start: int, stop: int) -> None:
-        """Clear `pivots` from basis rows start..stop with :meth:`_clear`,
-        ``_CHUNK`` at a time of the rows that have a nonzero there."""
-        basis = self._basis
-        hit = start + np.flatnonzero(basis[start:stop, pivots].any(axis=1))
-        for at in range(0, hit.size, _CHUNK):
-            idx = hit[at : at + _CHUNK]
-            sub = basis[idx]
-            self._clear(sub, rows, pivots)
-            basis[idx] = sub
+    def _reduce(self, block: np.ndarray) -> np.ndarray:
+        """`block`, reduced mod p (bool counts as 0/1), reduced against R
+        once, onto the free columns, in the working dtype: only its free
+        and pivot columns are converted."""
+        if not self.rank:
+            return np.ascontiguousarray(block, dtype=self._store.dtype)
+        work = np.take(block, self._free, axis=1).astype(self._store.dtype, copy=False)
+        coeffs = np.take(block, self._pivots, axis=1)
+        if coeffs.any():
+            _subtract(work, _matmul_exact(coeffs, self._rows(), self.p), self.p)
+        return work
 
-    def _append(self, rows: np.ndarray, pivots: list[int]) -> None:
-        count = self.rank
-        stop = count + len(pivots)
-        if stop > self._basis.shape[0]:
-            capacity = min(max(64, 2 * self._basis.shape[0], stop), self.cols)
-            fresh = np.zeros((capacity, self.cols), dtype=self._basis.dtype)
-            fresh[:count] = self._basis[:count]
-            self._basis = fresh
-        self._basis[count:stop] = rows
-        self._pivots.extend(pivots)
-        self._is_pivot[pivots] = True
+    def _add_block(self, work: np.ndarray) -> np.ndarray:
+        """Bring `work`, rows reduced by :meth:`_reduce`, into the basis;
+        return the positions of its rows that raised the rank, ascending.
 
-    def _add_block(self, block: np.ndarray) -> np.ndarray:
-        """Bring `block` into the basis; return the positions of its rows
-        that raised the rank, ascending."""
-        self._reduce_against(block, 0, self.rank)
-        block_start = self.rank
-        live = np.flatnonzero(block.any(axis=1))
+        Its new rows follow R's in the store, at R's stride, on `keep`: the
+        columns of `work` still free, in ``_PANEL``-row panels.  `new`
+        lists their pivots as columns of `work`, in join order."""
+        p, start, width = self.p, self.rank, self._free.size
+        live = np.flatnonzero(work.any(axis=1))
+        keep = np.arange(width)
+        new: list[int] = []
         raised = [live[:0]]
-        for start in range(0, live.size, _PANEL):
-            at = live[start : start + _PANEL]
-            panel = block[at]
-            self._reduce_against(panel, block_start, self.rank)
+        for at in (live[i : i + _PANEL] for i in range(0, live.size, _PANEL)):
+            panel = work[at]
+            if new:
+                coeffs = panel[:, new]
+                panel = np.take(panel, keep, axis=1)
+                if coeffs.any():
+                    added = self._view(start, len(new), width, keep.size)
+                    _subtract(panel, _matmul_exact(coeffs, added, p), p)
             found, pivots = self._eliminate(panel)
             if pivots:
-                rows = panel[found]
-                self._back_eliminate(rows, pivots, block_start, self.rank)
-                self._append(rows, pivots)
+                self._reserve((start + len(new) + len(found)) * width, (start + len(new)) * width)
+                stay = np.delete(np.arange(keep.size), pivots)
+                rows = np.take(panel[found], stay, axis=1)
+                self._clear_compact(self._view(start, len(new), width, keep.size), pivots, stay, rows,
+                                    start, width)
+                self._view(start + len(new), len(found), width, stay.size)[:] = rows
+                new.extend(keep[pivots].tolist())
+                keep = keep[stay]
                 raised.append(at[found])
-        # The panels left this block's pivots in the earlier blocks' rows;
-        # one pass clears them, so the basis is in RREF again.
-        if 0 < block_start < self.rank:
-            new = self._basis[block_start : self.rank]
-            self._back_eliminate(new, self._pivots[block_start:], 0, block_start)
+        if new:
+            # Back-eliminate and compact the earlier blocks' rows, then
+            # close up the block's own rows behind them.
+            added = self._view(start, len(new), width, keep.size)
+            self._clear_compact(self._view(0, start, width, width), new, keep, added, 0, keep.size)
+            self._clear_compact(added, [], np.arange(keep.size), added, start, keep.size)
+            self._pivots = np.concatenate([self._pivots, self._free[new]])
+            self._free = self._free[keep]
         return np.concatenate(raised)
+
+    def _clear_compact(self, rows: np.ndarray, pivots, stay: np.ndarray, clear: np.ndarray,
+                       first: int, stride: int) -> None:
+        """Clear `pivots` from `rows`, a view of the store, and write them
+        back on the columns `stay` only, from store row `first` on at
+        `stride`, ``_CHUNK`` rows per product.  `clear` holds, on `stay`,
+        the rows that are the identity at `pivots`.  The writes never pass
+        the rows still to be read: `stride` is at most the view's."""
+        for i in range(0, rows.shape[0], _CHUNK):
+            chunk = rows[i : i + _CHUNK]
+            coeffs = np.take(chunk, pivots, axis=1)
+            sub = np.take(chunk, stay, axis=1)
+            if coeffs.any():
+                _subtract(sub, _matmul_exact(coeffs, clear, self.p), self.p)
+            self._view(first + i, len(chunk), stride, stay.size)[:] = sub
 
 
 def rank_mod_p(matrix: FpMatrix) -> int:

@@ -84,17 +84,22 @@ def _validate_cap(arr: np.ndarray, p: int, cap: int) -> None:
         raise ValueError("exponent cap 1 requires 0/1-valued points")
 
 
-def _eval_rows(arr: np.ndarray, exps: np.ndarray, p: int, cap: int) -> np.ndarray:
+def _eval_rows(arr: np.ndarray, exps: np.ndarray, p: int, cap: int, dtype=None) -> np.ndarray:
     """Evaluate every monomial, one int64 row of exponents each in `exps`,
     at every point of a row block.
 
     At cap 1, one float32 product counts the monomial's variables that are
     0 at the point (exact: counts are at most n); the value is count == 0,
-    returned as bool.  At cap p-1, one gather-multiply mod p per variable,
-    returned as int64."""
+    returned as bool, or written as 0/1 into `dtype`, over the counts when
+    that is float32.  At cap p-1, one gather-multiply mod p per variable,
+    returned as int64 or `dtype`."""
     rows, n = arr.shape
     if cap == 1:
-        return (1 - arr).astype(np.float32) @ exps.T.astype(np.float32) == 0
+        counts = (1 - arr).astype(np.float32) @ exps.T.astype(np.float32)
+        if dtype is None:
+            return counts == 0
+        out = counts if dtype == np.float32 else np.empty(counts.shape, dtype=dtype)
+        return np.equal(counts, 0, out=out, casting="unsafe")
     # powers[:, i, e] = arr[:, i]^e mod p up to the largest exponent in use;
     # exact in int64, as callers' RowReducer refuses (p-1)^2 >= 2^62.
     powers = np.ones((rows, n, int(exps.max(initial=0)) + 1), dtype=np.int64)
@@ -104,7 +109,7 @@ def _eval_rows(arr: np.ndarray, exps: np.ndarray, p: int, cap: int) -> np.ndarra
     for i in range(n):
         out *= np.take(powers[:, i], exps[:, i], axis=1)
         out %= p
-    return out
+    return out if dtype is None else out.astype(dtype, copy=False)
 
 
 def _feed_points(red: RowReducer, arr: np.ndarray, monos: Sequence[Monomial], p: int, cap: int) -> None:
@@ -272,7 +277,8 @@ def family_rref(
     monos = monomials_upto(n, m, 1)
     red = RowReducer(p, len(monos), sum(binomial(n, k) for k in [*sizes, *others]))
     _feed_family(red, n, sizes, monos)
-    rref = red.rref()
+    # With nothing more to feed, R is handed over from the store itself.
+    rref = red.rref() if others else red._rref_in_place()
     _feed_family(red, n, others, monos)
     return rref, monos, red.rank
 

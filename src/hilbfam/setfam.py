@@ -17,7 +17,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -161,8 +161,13 @@ class SetFamily:
         return iter(self.sets)
 
     def points(self) -> tuple[tuple[int, ...], ...]:
-        """Characteristic vectors of all members, in family order."""
-        return tuple(char_vector(s, self.n) for s in self.sets)
+        """Characteristic vectors of all members, in family order, read
+        out of one 0/1 array set at every member of every set."""
+        arr = np.zeros((len(self.sets), self.n), dtype=np.int8)
+        rows = np.repeat(np.arange(len(self.sets)), [len(s) for s in self.sets])
+        cols = np.fromiter(chain.from_iterable(self.sets), dtype=np.intp, count=rows.size)
+        arr[rows, cols - 1] = 1
+        return tuple(map(tuple, arr.tolist()))
 
     def masks(self) -> tuple[int, ...]:
         return tuple(s.bitmask for s in self.sets)

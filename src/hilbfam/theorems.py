@@ -23,7 +23,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import hilbert
-from .gflinalg import Rref
+from .gflinalg import Rref, product_dtype
 from .hilbert import (  # noqa: F401  (kernel_matrix stays importable from here)
     _eval_rows,
     _points_array,
@@ -106,18 +106,20 @@ def _vanishing_witness(
     Scans points in their given order, in blocks of the hilbert module's
     ``_BLOCK_ROWS`` points, and kernel rows in basis order, so the witness
     is deterministic.  A block's values on every kernel row are the
-    residues of its evaluation rows E (bool at cap 1) against the RREF,
-    ``E[:, free] - E[:, pivots] @ R`` mod p (:meth:`Rref.kernel_product`):
-    a plain product, which does not trust the elimination that gave R.
-    Only the witness row's polynomial is built.
+    residues of its evaluation rows E against the RREF, ``E[:, free] -
+    E[:, pivots] @ R`` mod p (:meth:`Rref.kernel_product`): a plain
+    product, which does not trust the elimination that gave R.  E is
+    evaluated straight into pivot-then-free column order, in the
+    product's dtype.  Only the witness row's polynomial is built.
     """
     if not rref.free.size:
         return None
-    exps = np.array(monomials, dtype=np.int64)
+    exps = np.array(monomials, dtype=np.int64)[np.concatenate([rref.pivots, rref.free])]
+    dtype = product_dtype(rref.pivots.size, p)
     step = hilbert._BLOCK_ROWS
     for start in range(0, arr.shape[0], step):
         block = arr[start : start + step]
-        values = rref.kernel_product(_eval_rows(block, exps, p, cap), p)
+        values = rref.kernel_product(_eval_rows(block, exps, p, cap, dtype), p)
         hits = np.flatnonzero(values.any(axis=1))
         if hits.size:
             i = int(hits[0])
@@ -128,6 +130,8 @@ def _vanishing_witness(
                 "point": [int(v) for v in block[i]],
                 "value": int(values[i, j]),
             }
+        # Freed before the next block is evaluated, not beside it.
+        del values
     return None
 
 

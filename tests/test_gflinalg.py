@@ -337,19 +337,37 @@ class TestMultiPanel:
 def arrival_pivots(data, p):
     """The pivot column each independent row brings when the rows arrive
     one at a time, in arrival order, and the final RREF row per pivot."""
-    rref = {}
-    order = []
-    for vec in data % p:
-        for c, row in rref.items():
-            vec = (vec - vec[c] * row) % p
-        if vec.any():
-            c = int(np.flatnonzero(vec)[0])
-            vec = vec * pow(int(vec[c]), -1, p) % p
-            for other, row in rref.items():
-                rref[other] = (row - row[c] * vec) % p
-            rref[c] = vec
-            order.append(c)
-    return order, rref
+    ref = ArrivalReference(p, data.shape[1])
+    ref.add(data)
+    return ref.order, ref.rows
+
+
+class ArrivalReference:
+    """A reducer in plain numpy, one row at a time: the RREF row per pivot
+    and the pivots in the order their rows joined, as a reference for the
+    join order and the raised positions, independent of the R store."""
+
+    def __init__(self, p, cols):
+        self.p, self.cols = p, cols
+        self.rows, self.order = {}, []
+
+    def add(self, block):
+        raised = []
+        for i, vec in enumerate(np.asarray(block, dtype=np.int64) % self.p):
+            for c, row in self.rows.items():
+                vec = (vec - vec[c] * row) % self.p
+            if vec.any():
+                c = int(np.flatnonzero(vec)[0])
+                vec = vec * pow(int(vec[c]), -1, self.p) % self.p
+                for other, row in self.rows.items():
+                    self.rows[other] = (row - row[c] * vec) % self.p
+                self.rows[c] = vec
+                self.order.append(c)
+                raised.append(i)
+        return raised
+
+    def basis_rows(self, start, stop):
+        return np.array([self.rows[c] for c in self.order[start:stop]]).reshape(-1, self.cols)
 
 
 def inclusion_matrix(n, t, k):
@@ -582,6 +600,14 @@ class TestFloat32Path:
         assert (p - 1) ** 2 < _FLOAT32_EXACT_LIMIT == 2**21
         x = np.arange(-(2**21), 2**21, dtype=np.int64)
         assert np.array_equal(_mod(x.astype(np.float32), p), x % p)
+        # As rows, over many blocks, and on a strided view.
+        rows = x.astype(np.float32).reshape(-1, 1024)
+        assert np.array_equal(_mod(rows, p), (x % p).reshape(-1, 1024))
+        wide = np.zeros((4096, 1100), dtype=np.float32)
+        wide[:, 50:1074] = x.reshape(-1, 1024)
+        _mod(wide[:, 50:1074], p)
+        assert np.array_equal(wide[:, 50:1074], (x % p).reshape(-1, 1024))
+        assert not wide[:, :50].any() and not wide[:, 1074:].any()
         assert np.array_equal(_mod(x.copy(), p), x % p)
 
     # (p, cols): cols * (p-1)^2 just under 2^21, where the reducer works
@@ -728,3 +754,112 @@ class TestValidation:
     def test_matrix_must_be_2d(self):
         with pytest.raises(ValueError):
             FpMatrix(2, np.array([1, 0, 1]))
+
+
+class TestRStore:
+    """The basis kept as R, its rows on the free columns in join order:
+    fed as a spin feeds it, in many small blocks and image chunks, then a
+    block that adds no pivot and one that fills every free column.  Run
+    with the default panels and with panels of 4 rows, leaves of 2 and
+    back-elimination chunks of 3, so blocks span several panels and the
+    compaction runs over several chunks."""
+
+    @pytest.fixture(params=["default", "small"], autouse=True)
+    def sizes(self, request, monkeypatch):
+        if request.param == "small":
+            monkeypatch.setattr(gflinalg, "_PANEL", 4)
+            monkeypatch.setattr(gflinalg, "_LEAF", 2)
+            monkeypatch.setattr(gflinalg, "_CHUNK", 3)
+
+    @staticmethod
+    def check_state(red, ref, fed, p):
+        cols = red.cols
+        expected, expected_piv = oracle_rref(np.vstack(fed).tolist(), p)
+        assert red.pivot_columns() == expected_piv
+        assert red.echelon_rows().tolist() == expected[: len(expected_piv)]
+        rows = red.basis_rows(0, red.rank + 5)
+        assert not rows.flags.writeable
+        assert rows.tolist() == ref.basis_rows(0, len(ref.order)).tolist()
+        assert red.basis_rows(2, 4).tolist() == ref.basis_rows(2, 4).tolist()
+        rref = red.rref()
+        free = [c for c in range(cols) if c not in expected_piv]
+        assert rref.pivots.tolist() == list(expected_piv)
+        assert rref.free.tolist() == free
+        assert rref.rows.dtype == rows.dtype
+        assert rref.rows.tolist() == [[row[c] for c in free] for row in expected[: len(expected_piv)]]
+        kernel = red.kernel_matrix()
+        assert np.array_equal(kernel, rref.kernel(p))
+        assert kernel.shape == (len(free), cols)
+        assert not ((np.vstack(fed) @ kernel.T) % p).any()
+
+    @pytest.mark.parametrize("p, dtype", [(2, np.float32), (3, np.float32), (7, np.float32), (1009, np.int64)])
+    def test_spin_like_feed_matches_the_oracles(self, p, dtype):
+        cols = 40
+        rng = np.random.default_rng(80 + p)
+        # Rank at most 12, dense on every column, so later pivots land
+        # where the earlier rows are nonzero.
+        data = (rng.integers(0, p, (60, 12)) @ rng.integers(0, p, (12, cols))) % p
+        perms = [rng.permutation(cols), rng.permutation(cols)]
+        red, ref, fed = RowReducer(p, cols), ArrivalReference(p, cols), []
+        assert red.basis_rows(0, 1).dtype == dtype
+
+        def feed(block):
+            fed.append(np.asarray(block, dtype=np.int64) % p)
+            assert red.add_rows(block).tolist() == ref.add(block)
+
+        start = 0
+        for size in (1, 3, 2, 7, 1, 5, 11, 4):
+            feed(data[start : start + size])
+            start += size
+        self.check_state(red, ref, fed, p)
+        # Images of the basis rows in chunks, in join order, as the spin
+        # feeds them, while the rank stays short of the columns.
+        done = calls = 0
+        while done < red.rank < cols - 6:
+            stop = min(done + 2, red.rank)
+            images = np.concatenate([ref.basis_rows(done, stop)[:, perm] for perm in perms])
+            fed.append(images)
+            ref.add(images)
+            red.add_basis_images(done, stop, perms)
+            done, calls = stop, calls + 1
+            self.check_state(red, ref, fed, p)
+        assert calls >= 2 and red.rank < cols
+        # A block in the span adds no pivot, and raises nothing.
+        feed((np.vstack(fed[:3])[::-1] * 2) % p)
+        assert red.rank == len(ref.order)
+        self.check_state(red, ref, fed, p)
+        # A block that fills every remaining free column.
+        feed(np.vstack([np.eye(cols, dtype=np.int64)[red.rref().free], data[:4]]))
+        assert red.rank == cols and red.rref().rows.shape == (cols, 0)
+        assert red.kernel_matrix().shape == (0, cols)
+        self.check_state(red, ref, fed, p)
+        assert red.add_rows(data[:9]).tolist() == []
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 1009])
+    def test_rank_matches_sympy(self, p):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        data = multi_panel_matrix("repeated", p, seed=90 + p, rows=70, cols=36)
+        red = RowReducer(p, 36)
+        for start in range(0, 70, 6):
+            red.add_rows(data[start : start + 6])
+        assert red.rank == DomainMatrix.from_list(data.tolist(), sympy.GF(p)).rank()
+
+    @pytest.mark.parametrize("p", [2, 3, 1009])
+    def test_rref_in_place_hands_over_the_store(self, p):
+        data = multi_panel_matrix("low-rank", p, seed=95 + p, rows=50, cols=30)
+        red = RowReducer(p, 30, 50)
+        red.add_rows(data[25:])
+        red.add_rows(data[:25])
+        copy = red.rref()
+        echelon = red.echelon_rows()
+        handed = red._rref_in_place()
+        assert np.shares_memory(handed.rows, red._store)
+        for got, want in zip(handed, copy):
+            assert np.array_equal(got, want)
+        # The reducer stays a valid RREF, its rows now joined in pivot order.
+        assert np.array_equal(red.echelon_rows(), echelon)
+        assert np.array_equal(red.basis_rows(0, red.rank), echelon.astype(handed.rows.dtype))
+        red.add_rows(np.eye(30, dtype=np.int64))
+        assert red.rank == 30

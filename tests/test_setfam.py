@@ -220,6 +220,33 @@ class TestCharVector:
         assert tuple(i + 1 for i, v in enumerate(vec) if v) == sub.members
 
 
+class TestSetFamilyPoints:
+    """`SetFamily.points` against `char_vector` member by member."""
+
+    @staticmethod
+    def check(family):
+        expected = tuple(char_vector(s, family.n) for s in family.sets)
+        got = family.points()
+        assert got == expected
+        assert all(type(v) is int for pt in got for v in pt)
+
+    @pytest.mark.parametrize("n", [1, 5, 12, 64, 65, 100])
+    def test_random_families(self, n):
+        rng = random.Random(n)
+        for _ in range(5):
+            sets = {tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, n)))) for _ in range(rng.randint(1, 30))}
+            self.check(SetFamily(n, tuple(Subset(m) for m in sets)))
+
+    def test_empty_set_and_empty_family(self):
+        self.check(SetFamily(4, (Subset(()), Subset((2, 4)))))
+        assert SetFamily(3, (Subset(()),)).points() == ((0, 0, 0),)
+        assert SetFamily(3, ()).points() == ()
+
+    def test_library_families(self):
+        self.check(make_modq_family(12, 0, 4))
+        self.check(make_uniform_family(9, 4))
+
+
 class TestBinomial:
     def test_examples(self):
         assert binomial(6, 3) == 20
