@@ -23,7 +23,8 @@ one pass clears all of the block's new pivots from the earlier blocks'
 rows and compacts them, one product per ``_CHUNK`` rows, so the basis is
 in RREF again whenever :meth:`RowReducer.add_rows` returns.  Each update
 ``sub -= product; sub %= p`` reduces mod p once: the product comes back
-exact and unreduced.
+exact and unreduced.  :meth:`RowReducer.rref` hands R over as it is
+stored, rows in the order they joined the basis, as an :class:`Rref`.
 
 The working dtype is fixed at construction from ``max(cols, 1) *
 (p-1)^2``, the largest sum a product can reach.  Under 2^21 the basis,
@@ -146,9 +147,11 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 class Rref(NamedTuple):
-    """A row space over F_p by its reduced echelon form: the RREF rows in
-    pivot order on the free columns (rank x free, in the working dtype of
-    the reducer they came from), and the pivot and free columns, ascending.
+    """A row space over F_p by its reduced echelon form: the RREF rows on
+    the free columns (rank x free, in the working dtype of the reducer they
+    came from), the pivot column of each row, and the free columns,
+    ascending.  A reducer hands its rows over in join order, the order
+    they entered the basis, not in pivot order; nothing here depends on it.
 
     The canonical kernel has one row per free column: row j is 1 at
     ``free[j]``, 0 at the other free columns and ``-rows[:, j]`` mod p at
@@ -266,9 +269,8 @@ class RowReducer:
     implicit.  Compaction runs at two rates: a block's new rows are
     compacted onto the columns still free after every panel, and the
     earlier blocks' rows are back-eliminated and compacted once, when the
-    block is done, both in place, front to back.  :meth:`basis_rows`
-    returns a read-only copy; it, :meth:`echelon_rows` and :meth:`rref`
-    rebuild what they return from R.
+    block is done, both in place, front to back.  :meth:`rref` hands R
+    over as a read-only view of the store, without a copy.
 
     The store is float32 while ``max(cols, 1) * (p-1)^2 < 2^21``: every
     value the elimination makes (an entry minus a product of at most
@@ -306,9 +308,6 @@ class RowReducer:
     def rank(self) -> int:
         return self._pivots.size
 
-    def pivot_columns(self) -> tuple[int, ...]:
-        return tuple(sorted(self._pivots.tolist()))
-
     def add_rows(self, rows) -> np.ndarray:
         """Bring a row, or a block of rows, into the basis, and return the
         positions, ascending, of the rows that raised the rank: each is
@@ -319,66 +318,43 @@ class RowReducer:
         arr = np.asarray(rows)
         if arr.dtype != np.bool_:
             arr = np.asarray(rows, dtype=np.int64) % self.p
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        if arr.shape[1] != self.cols:
-            raise ValueError(f"expected {self.cols} columns, got {arr.shape[1]}")
-        return self._add_block(self._reduce(arr))
+        if arr.ndim not in (1, 2) or arr.shape[-1] != self.cols:
+            raise ValueError(f"expected a row or rows of {self.cols} columns, got shape {arr.shape}")
+        return self._add_block(self._reduce(np.atleast_2d(arr)))
 
     def add_basis_images(self, start: int, stop: int, perms: list[np.ndarray]) -> None:
         """Bring in ``row[perm]`` for every basis row start..stop, in the
         order the rows joined the basis, and every column permutation in
         `perms`: all of the first permutation's images, then the next's.
-        The rows are reduced and in the working dtype already."""
-        self._add_block(self._reduce(self._full_rows(slice(start, stop), perms)))
-
-    def basis_rows(self, start: int, stop: int) -> np.ndarray:
-        """Read-only copy of the RREF rows start..stop, in the order they
-        joined the basis, in the working dtype."""
-        rows = self._full_rows(slice(start, stop))
-        rows.flags.writeable = False
-        return rows
-
-    def echelon_rows(self) -> np.ndarray:
-        """The nonzero rows of the RREF, ordered by pivot column, as int64."""
-        return self._full_rows(np.argsort(self._pivots)).astype(np.int64, copy=False)
+        The images are written straight from R, in the working dtype."""
+        pivots = self._pivots[start:stop]
+        k = pivots.size
+        images = np.zeros((len(perms) * k, self.cols), dtype=self._store.dtype)
+        for t, perm in enumerate(perms):
+            inv = np.argsort(perm)
+            images[t * k : (t + 1) * k, inv[self._free]] = self._rows()[start:stop]
+            images[t * k + np.arange(k), inv[pivots]] = 1
+        # Rebound, so the images are freed before the block is eliminated.
+        images = self._reduce(images)
+        self._add_block(images)
 
     def rref(self) -> Rref:
-        """A copy of the RREF as an :class:`Rref`, unchanged by later rows."""
-        order = np.argsort(self._pivots)
-        return Rref(self._rows()[order], self._pivots[order], self._free.copy())
+        """The RREF as an :class:`Rref` whose rows are a read-only view of
+        R, rows and pivots in join order.  The store is cut back to R first,
+        in place, so the memory past it is freed.  A later row that adds a
+        pivot then needs a larger store and leaves this one as it is, and
+        one that adds none writes nothing, so the result never changes."""
+        # ndarray.resize refuses while a view of the store is alive, but a
+        # resize to the same size does nothing, as on a second call.
+        self._store.resize(self.rank * self._free.size)
+        rows = self._rows()
+        rows.flags.writeable = False
+        return Rref(rows, self._pivots.copy(), self._free.copy())
 
     def kernel_matrix(self) -> np.ndarray:
         """Canonical kernel basis, one row per free column, ascending (see
         :meth:`Rref.kernel`)."""
         return self.rref().kernel(self.p)
-
-    def _rref_in_place(self) -> Rref:
-        """The RREF as an :class:`Rref` whose rows are the store itself,
-        without a copy: the basis rows are put in pivot order in place,
-        one cycle of the permutation at a time, and that becomes their
-        join order; then the store is cut back to R, in place, so the
-        memory past it is freed.  Later pivots move the store elsewhere
-        and leave the result as it is.  Call it once per reducer."""
-        rows = self._rows()
-        order = np.argsort(self._pivots).tolist()
-        seen = [False] * len(order)
-        for i, src in enumerate(order):
-            if seen[i] or src == i:
-                continue
-            held = rows[i].copy()
-            j = i
-            while order[j] != i:
-                rows[j] = rows[order[j]]
-                seen[j] = True
-                j = order[j]
-            rows[j] = held
-            seen[j] = True
-        del rows
-        # ndarray.resize refuses while any view of the store is alive.
-        self._store.resize(self.rank * self._free.size)
-        self._pivots = np.sort(self._pivots)
-        return Rref(self._rows(), self._pivots.copy(), self._free.copy())
 
     # -- the store ---------------------------------------------------------
 
@@ -392,20 +368,6 @@ class RowReducer:
         """R: the basis rows on the free columns, in join order (a view)."""
         width = self._free.size
         return self._view(0, self.rank, width, width)
-
-    def _full_rows(self, idx: slice | np.ndarray, perms: list[np.ndarray] | None = None) -> np.ndarray:
-        """The basis rows `idx` (positions in join order) on every column,
-        written straight from R; with `perms`, ``row[perm]`` for every row,
-        one permutation after another."""
-        pivots = self._pivots[idx]
-        rows = self._rows()[idx]
-        inverses = [np.argsort(perm) for perm in perms] if perms else [np.arange(self.cols)]
-        full = np.zeros((len(inverses) * pivots.size, self.cols), dtype=self._store.dtype)
-        for t, inv in enumerate(inverses):
-            image = full[t * pivots.size : (t + 1) * pivots.size]
-            image[:, inv[self._free]] = rows
-            image[np.arange(pivots.size), inv[pivots]] = 1
-        return full
 
     def _reserve(self, size: int, used: int) -> None:
         """Make the store hold `size` entries, keeping its first `used`."""

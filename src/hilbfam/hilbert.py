@@ -265,20 +265,20 @@ def family_rref(
     """The RREF of the cap-1 degree-<= m evaluation rows of the 0/1 points
     of [n] with sizes in `sizes`, whose kernel is :func:`kernel_matrix`'s
     of ``level_points(n, sizes)``, its monomial columns, and h at m of the
-    points with sizes in `sizes` or `more`.
+    points with sizes in `sizes` or `more`.  The RREF is the reducer's R
+    itself, rows and pivots in join order (see ``RowReducer.rref``).
 
     One elimination, as :func:`nested_kernel`: the levels of `more` outside
-    `sizes` go into the reducer after the RREF is taken, and the basis is
-    allocated once for all their points.  Callers take both groups from
-    ``setfam.family_sizes``, which holds them to the enumeration cap;
-    neither need be enumerated.
+    `sizes` go into the reducer after the RREF is taken, which leaves it
+    as it is, and the basis is allocated once for all their points.
+    Callers take both groups from ``setfam.family_sizes``, which holds
+    them to the enumeration cap; neither need be enumerated.
     """
     others = [k for k in more if k not in sizes]
     monos = monomials_upto(n, m, 1)
     red = RowReducer(p, len(monos), sum(binomial(n, k) for k in [*sizes, *others]))
     _feed_family(red, n, sizes, monos)
-    # With nothing more to feed, R is handed over from the store itself.
-    rref = red.rref() if others else red._rref_in_place()
+    rref = red.rref()
     _feed_family(red, n, others, monos)
     return rref, monos, red.rank
 

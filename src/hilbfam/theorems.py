@@ -281,8 +281,9 @@ def verify_hrubes(p: int) -> VerificationReport:
     }
     # The value at the origin of a cap-1 polynomial is its constant
     # coefficient.  The constant monomial, column 0, is 1 at every point,
-    # so it is the first pivot, and kernel row j's coefficient there is
-    # -R[0, j]: row 0 of R decides the claim.
+    # so the first row fed has its pivot there and is the first to join
+    # R, and kernel row j's coefficient there is -R[0, j]: row 0 of R
+    # decides the claim.
     assert rref.pivots[0] == 0
     bad = np.flatnonzero(rref.rows[0])
     if bad.size:

@@ -57,6 +57,17 @@ def oracle_rref(rows, p):
     return m, tuple(pivots)
 
 
+def echelon(rref):
+    """The RREF an :class:`Rref` stands for, rebuilt on every column: its
+    rows, int64, and its pivot columns, both in pivot order."""
+    order = np.argsort(rref.pivots)
+    pivots = rref.pivots[order]
+    rows = np.zeros((pivots.size, pivots.size + rref.free.size), dtype=np.int64)
+    rows[:, rref.free] = rref.rows[order]
+    rows[np.arange(pivots.size), pivots] = 1
+    return rows, tuple(pivots.tolist())
+
+
 small_primes = st.sampled_from([2, 3, 5, 7])
 
 
@@ -85,42 +96,42 @@ class TestRref:
     def test_identity_mod_2(self):
         m = FpMatrix.from_rows(np.eye(3, dtype=int), 2)
         red = reduce_all(m)
-        assert red.echelon_rows().tolist() == m.data.tolist()
-        assert red.pivot_columns() == (0, 1, 2)
+        assert echelon(red.rref())[0].tolist() == m.data.tolist()
+        assert echelon(red.rref())[1] == (0, 1, 2)
 
     def test_repeated_rows_mod_2(self):
         red = reduce_all(FpMatrix.from_rows([[1, 1], [1, 1]], 2))
-        assert red.echelon_rows().tolist() == [[1, 1]]
-        assert red.pivot_columns() == (0,)
+        assert echelon(red.rref())[0].tolist() == [[1, 1]]
+        assert echelon(red.rref())[1] == (0,)
 
     def test_proportional_rows_mod_5(self):
         red = reduce_all(FpMatrix.from_rows([[2, 4], [1, 2]], 5))
-        assert red.echelon_rows().tolist() == [[1, 2]]
-        assert red.pivot_columns() == (0,)
+        assert echelon(red.rref())[0].tolist() == [[1, 2]]
+        assert echelon(red.rref())[1] == (0,)
 
     @given(fp_matrices())
     def test_matches_oracle(self, m):
         red = reduce_all(m)
         expected, expected_piv = oracle_rref(m.data.tolist(), m.p)
-        assert red.echelon_rows().tolist() == expected[: len(expected_piv)]
-        assert red.pivot_columns() == expected_piv
+        assert echelon(red.rref())[0].tolist() == expected[: len(expected_piv)]
+        assert echelon(red.rref())[1] == expected_piv
 
     def test_basis_rows_in_join_order_read_only(self):
         red = RowReducer(3, 4)
         red.add_rows([[0, 1, 2, 0]])
         red.add_rows([[2, 0, 0, 2]])
-        rows = red.basis_rows(0, 5)
-        assert rows.tolist() == [[0, 1, 2, 0], [1, 0, 0, 1]]
-        assert rows[::-1].tolist() == red.echelon_rows().tolist()
-        assert red.basis_rows(1, 2).tolist() == [[1, 0, 0, 1]]
-        assert not rows.flags.writeable
+        rref = red.rref()
+        assert rref.pivots.tolist() == [1, 0] and rref.free.tolist() == [2, 3]
+        assert rref.rows.tolist() == [[2, 0], [0, 1]]
+        assert echelon(rref)[0].tolist() == [[1, 0, 0, 1], [0, 1, 2, 0]]
+        assert not rref.rows.flags.writeable
 
     @given(fp_matrices())
     def test_idempotent(self, m):
         red = reduce_all(m)
-        again = reduce_all(FpMatrix(m.p, red.echelon_rows()))
-        assert again.echelon_rows().tolist() == red.echelon_rows().tolist()
-        assert again.pivot_columns() == red.pivot_columns()
+        again = reduce_all(FpMatrix(m.p, echelon(red.rref())[0]))
+        assert echelon(again.rref())[0].tolist() == echelon(red.rref())[0].tolist()
+        assert echelon(again.rref())[1] == echelon(red.rref())[1]
 
 
 class TestRank:
@@ -175,7 +186,7 @@ class TestKernel:
     @given(fp_matrices())
     def test_kernel_canonical_form(self, m):
         basis = kernel_basis(m)
-        pivots = reduce_all(m).pivot_columns()
+        pivots = echelon(reduce_all(m).rref())[1]
         free = [c for c in range(m.cols) if c not in pivots]
         assert len(basis) == len(free)
         for v, f in zip(basis, free):
@@ -194,8 +205,8 @@ class TestEngineAgreement:
         red = RowReducer(2, m.cols)
         red.add_rows(data)
         expected, expected_piv = oracle_rref(data, 2)
-        assert red.pivot_columns() == expected_piv
-        assert red.echelon_rows().tolist() == expected[: len(expected_piv)]
+        assert echelon(red.rref())[1] == expected_piv
+        assert echelon(red.rref())[0].tolist() == expected[: len(expected_piv)]
         # Canonical kernel from the oracle's RREF: 1 at its own free
         # column, minus the echelon entries (= plus, mod 2) at the pivots.
         free = [c for c in range(m.cols) if c not in expected_piv]
@@ -213,8 +224,8 @@ class TestEngineAgreement:
         chunked = RowReducer(m.p, m.cols)
         for start in range(0, m.rows, block):
             chunked.add_rows(m.data[start : start + block])
-        assert whole.pivot_columns() == chunked.pivot_columns()
-        assert whole.echelon_rows().tolist() == chunked.echelon_rows().tolist()
+        assert echelon(whole.rref())[1] == echelon(chunked.rref())[1]
+        assert echelon(whole.rref())[0].tolist() == echelon(chunked.rref())[0].tolist()
 
 
 def multi_panel_matrix(kind, p, seed, rows=3 * _PANEL + 20, cols=2 * _PANEL + 8):
@@ -250,10 +261,9 @@ class TestMultiPanel:
         expected, expected_piv = oracle_rref(data.tolist(), p)
         for block in (data.shape[0], 37):
             red = reduce_in_blocks(data, p, block)
-            assert red.basis_rows(0, 1).dtype == (np.float32 if p <= 7 else np.int64)
-            assert red.pivot_columns() == expected_piv
-            assert red.echelon_rows().dtype == np.int64
-            assert red.echelon_rows().tolist() == expected[: len(expected_piv)]
+            assert red.rref().rows.dtype == (np.float32 if p <= 7 else np.int64)
+            assert echelon(red.rref())[1] == expected_piv
+            assert echelon(red.rref())[0].tolist() == expected[: len(expected_piv)]
             kernel = red.kernel_matrix()
             assert kernel.dtype == np.int64
             assert kernel.shape == (data.shape[1] - red.rank, data.shape[1])
@@ -279,8 +289,8 @@ class TestMultiPanel:
         data = multi_panel_matrix("random", p, seed=1, rows=150, cols=80)
         expected, expected_piv = oracle_rref(data.tolist(), p)
         red = reduce_in_blocks(data, p, 37)
-        assert red.pivot_columns() == expected_piv
-        assert red.echelon_rows().tolist() == expected[: len(expected_piv)]
+        assert echelon(red.rref())[1] == expected_piv
+        assert echelon(red.rref())[0].tolist() == expected[: len(expected_piv)]
 
     def test_wilson_rank_beyond_brute_force(self):
         # h(m) = C(n, m) for the uniform family when m <= min(d, n - d).
@@ -296,8 +306,8 @@ class TestMultiPanel:
         expected, expected_piv = oracle_rref(data.tolist(), p)
         red = reduce_in_blocks(data, p, 150)
         assert red.rank > 150
-        assert red.pivot_columns() == expected_piv
-        assert red.echelon_rows().tolist() == expected[: len(expected_piv)]
+        assert echelon(red.rref())[1] == expected_piv
+        assert echelon(red.rref())[0].tolist() == expected[: len(expected_piv)]
 
     @pytest.mark.parametrize("p", [2, 3, 101])
     def test_second_block_clears_its_pivots_from_the_first(self, p):
@@ -309,16 +319,16 @@ class TestMultiPanel:
         second = rng.integers(0, p, (140, cols))
         red = RowReducer(p, cols)
         red.add_rows(first)
-        old = red.rank
-        before = red.basis_rows(0, old).copy()
+        before, old_piv = echelon(red.rref())
         red.add_rows(second)
-        new = sorted(set(red.pivot_columns()) - set((before != 0).argmax(axis=1).tolist()))
+        rows, pivots = echelon(red.rref())
+        new = sorted(set(pivots) - set(old_piv))
         # More first-block rows are hit than one chunk holds.
         assert before[:, new].any(axis=1).sum() > _CHUNK
-        assert not red.basis_rows(0, old)[:, new].any()
+        assert not rows[np.isin(pivots, old_piv)][:, new].any()
         expected, expected_piv = oracle_rref(np.vstack([first, second]).tolist(), p)
-        assert red.pivot_columns() == expected_piv
-        assert red.echelon_rows().tolist() == expected[: len(expected_piv)]
+        assert pivots == expected_piv
+        assert rows.tolist() == expected[: len(expected_piv)]
 
     @pytest.mark.parametrize("p", [2, 3, 101, 1009])
     @pytest.mark.parametrize("kind", ["low-rank", "repeated"])
@@ -328,10 +338,10 @@ class TestMultiPanel:
         order, final = arrival_pivots(data, p)
         for block in (data.shape[0], 150, 37):
             red = reduce_in_blocks(data, p, block)
-            rows = red.basis_rows(0, red.rank)
-            assert not rows.flags.writeable
-            assert (rows != 0).argmax(axis=1).tolist() == order
-            assert rows.tolist() == [final[c].tolist() for c in order]
+            rref = red.rref()
+            assert not rref.rows.flags.writeable
+            assert rref.pivots.tolist() == order
+            assert rref.rows.tolist() == [final[c][rref.free].tolist() for c in order]
 
 
 def arrival_pivots(data, p):
@@ -420,8 +430,8 @@ class TestWilsonPRank:
         # A later block adds pivots, so the end-of-block pass runs; the
         # basis must still be the identity on its pivot columns.
         assert ranks[0] < red.rank
-        pivots = list(red.pivot_columns())
-        assert (red.echelon_rows()[:, pivots] == np.eye(red.rank, dtype=np.int64)).all()
+        pivots = list(echelon(red.rref())[1])
+        assert (echelon(red.rref())[0][:, pivots] == np.eye(red.rank, dtype=np.int64)).all()
         assert not ((w @ red.kernel_matrix().T) % p).any()
 
 
@@ -542,7 +552,7 @@ class TestRaisedRows:
                 start += size
             assert raised == expected
             assert red.rank == len(expected)
-            assert red.basis_rows(0, 1).dtype == dtype
+            assert red.rref().rows.dtype == dtype
 
     @pytest.mark.parametrize("p", [2, 1009])
     def test_bool_rows_and_zero_block(self, p):
@@ -627,9 +637,9 @@ class TestFloat32Path:
         for rows in (data, data[::-1]):
             for block in (rows.shape[0], 37):
                 red = reduce_in_blocks(rows, p, block)
-                assert red.basis_rows(0, 1).dtype == dtype
-                assert red.pivot_columns() == expected_piv
-                assert red.echelon_rows().tolist() == expected[: len(expected_piv)]
+                assert red.rref().rows.dtype == dtype
+                assert echelon(red.rref())[1] == expected_piv
+                assert echelon(red.rref())[0].tolist() == expected[: len(expected_piv)]
                 kernel = red.kernel_matrix()
                 assert kernel.dtype == np.int64
                 assert not ((data @ kernel.T) % p).any()
@@ -643,7 +653,7 @@ class TestFloat32Path:
         # The row is (2, 2, 2) mod 3; float32 would round 2^40 + 1 to 2^40.
         red = RowReducer(3, 3)
         red.add_rows([[2**40 + 1, -(2**40), 3**30 + 2]])
-        assert red.echelon_rows().tolist() == [[1, 1, 1]]
+        assert echelon(red.rref())[0].tolist() == [[1, 1, 1]]
 
 
 def zero_one_matrix(seed, rows=3 * _PANEL + 20, cols=2 * _PANEL + 8):
@@ -662,9 +672,9 @@ class TestBoolInput:
     def check_same(data, p, block, dtype):
         as_bool = reduce_in_blocks(data, p, block)
         as_int = reduce_in_blocks(data.astype(np.int64), p, block)
-        assert as_bool.basis_rows(0, 1).dtype == dtype
-        assert as_bool.pivot_columns() == as_int.pivot_columns()
-        assert np.array_equal(as_bool.echelon_rows(), as_int.echelon_rows())
+        assert as_bool.rref().rows.dtype == dtype
+        assert echelon(as_bool.rref())[1] == echelon(as_int.rref())[1]
+        assert np.array_equal(echelon(as_bool.rref())[0], echelon(as_int.rref())[0])
         kernel = as_bool.kernel_matrix()
         assert kernel.shape[0] > 0
         assert np.array_equal(kernel, as_int.kernel_matrix())
@@ -700,11 +710,14 @@ class TestBoolInput:
         # the RREF depends on which rows came in; the second range runs
         # past the rank, where both stop.
         for start, stop in ((0, 3), (rank - 2, rank + 100)):
-            rows = fed.basis_rows(start, stop).astype(np.int64)
+            # fed's basis rows start..stop, in join order.
+            rref = fed.rref()
+            rows, pivots = echelon(rref)
+            rows = rows[np.searchsorted(pivots, rref.pivots[start:stop])]
             fed.add_rows(np.concatenate([rows[:, perm] for perm in perms]))
             images.add_basis_images(start, stop, perms)
-            assert images.pivot_columns() == fed.pivot_columns()
-            assert np.array_equal(images.echelon_rows(), fed.echelon_rows())
+            assert echelon(images.rref())[1] == echelon(fed.rref())[1]
+            assert np.array_equal(echelon(images.rref())[0], echelon(fed.rref())[0])
         assert rank < images.rank < data.shape[1]
 
 
@@ -744,16 +757,24 @@ class TestValidation:
         p = 2147483647
         red = RowReducer(p, 1)
         red.add_rows([[5]])
-        assert red.echelon_rows().tolist() == [[1]]
+        assert echelon(red.rref())[0].tolist() == [[1]]
         p = 1000000007
         red = RowReducer(p, 3)
         red.add_rows([[3, p - 2, p - 5]])
         inv = pow(3, -1, p)
-        assert red.echelon_rows().tolist() == [[1, (p - 2) * inv % p, (p - 5) * inv % p]]
+        assert echelon(red.rref())[0].tolist() == [[1, (p - 2) * inv % p, (p - 5) * inv % p]]
 
     def test_matrix_must_be_2d(self):
         with pytest.raises(ValueError):
             FpMatrix(2, np.array([1, 0, 1]))
+
+    def test_rows_must_be_a_row_or_a_block(self):
+        red = RowReducer(3, 2)
+        with pytest.raises(ValueError, match=r"got shape \(2, 2, 1\)"):
+            red.add_rows(np.ones((2, 2, 1), dtype=np.int64))
+        with pytest.raises(ValueError, match=r"got shape \(\)"):
+            red.add_rows(1)
+        assert red.rank == 0
 
 
 class TestRStore:
@@ -775,18 +796,15 @@ class TestRStore:
     def check_state(red, ref, fed, p):
         cols = red.cols
         expected, expected_piv = oracle_rref(np.vstack(fed).tolist(), p)
-        assert red.pivot_columns() == expected_piv
-        assert red.echelon_rows().tolist() == expected[: len(expected_piv)]
-        rows = red.basis_rows(0, red.rank + 5)
-        assert not rows.flags.writeable
-        assert rows.tolist() == ref.basis_rows(0, len(ref.order)).tolist()
-        assert red.basis_rows(2, 4).tolist() == ref.basis_rows(2, 4).tolist()
         rref = red.rref()
+        assert echelon(rref)[1] == expected_piv
+        assert echelon(rref)[0].tolist() == expected[: len(expected_piv)]
         free = [c for c in range(cols) if c not in expected_piv]
-        assert rref.pivots.tolist() == list(expected_piv)
         assert rref.free.tolist() == free
-        assert rref.rows.dtype == rows.dtype
-        assert rref.rows.tolist() == [[row[c] for c in free] for row in expected[: len(expected_piv)]]
+        # R in join order, as the one-row-at-a-time reference has it.
+        assert not rref.rows.flags.writeable
+        assert rref.pivots.tolist() == ref.order
+        assert rref.rows.tolist() == ref.basis_rows(0, len(ref.order))[:, free].tolist()
         kernel = red.kernel_matrix()
         assert np.array_equal(kernel, rref.kernel(p))
         assert kernel.shape == (len(free), cols)
@@ -801,7 +819,7 @@ class TestRStore:
         data = (rng.integers(0, p, (60, 12)) @ rng.integers(0, p, (12, cols))) % p
         perms = [rng.permutation(cols), rng.permutation(cols)]
         red, ref, fed = RowReducer(p, cols), ArrivalReference(p, cols), []
-        assert red.basis_rows(0, 1).dtype == dtype
+        assert red.rref().rows.dtype == dtype
 
         def feed(block):
             fed.append(np.asarray(block, dtype=np.int64) % p)
@@ -847,19 +865,39 @@ class TestRStore:
         assert red.rank == DomainMatrix.from_list(data.tolist(), sympy.GF(p)).rank()
 
     @pytest.mark.parametrize("p", [2, 3, 1009])
-    def test_rref_in_place_hands_over_the_store(self, p):
+    def test_rref_hands_over_the_store(self, p):
         data = multi_panel_matrix("low-rank", p, seed=95 + p, rows=50, cols=30)
         red = RowReducer(p, 30, 50)
         red.add_rows(data[25:])
         red.add_rows(data[:25])
-        copy = red.rref()
-        echelon = red.echelon_rows()
-        handed = red._rref_in_place()
+        handed = red.rref()
         assert np.shares_memory(handed.rows, red._store)
-        for got, want in zip(handed, copy):
-            assert np.array_equal(got, want)
-        # The reducer stays a valid RREF, its rows now joined in pivot order.
-        assert np.array_equal(red.echelon_rows(), echelon)
-        assert np.array_equal(red.basis_rows(0, red.rank), echelon.astype(handed.rows.dtype))
-        red.add_rows(np.eye(30, dtype=np.int64))
+        assert not handed.rows.flags.writeable
+        with pytest.raises(ValueError):
+            handed.rows[0, 0] = 0
+        # A second call, with the first's view alive, hands over the same.
+        again = red.rref()
+        assert all(np.array_equal(got, want) for got, want in zip(again, handed))
+        copies = [field.copy() for field in handed]
+
+        def unchanged():
+            for got, want in zip(handed, copies):
+                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+        # Rows in the span add no pivot and write nothing.
+        red.add_rows((data[::-1] * 2) % p)
+        assert red.rank == handed.pivots.size < 30
+        unchanged()
+        # Rows that add a few pivots, then the rest, move the store.
+        eye = np.eye(30, dtype=np.int64)
+        few = eye[handed.free[:3]]
+        red.add_rows(few)
+        assert red.rank == handed.pivots.size + 3
+        unchanged()
+        expected, expected_piv = oracle_rref(np.vstack([data, few]).tolist(), p)
+        rows, pivots = echelon(red.rref())
+        assert pivots == expected_piv
+        assert rows.tolist() == expected[: len(expected_piv)]
+        red.add_rows(eye)
         assert red.rank == 30
+        unchanged()

@@ -35,6 +35,7 @@ from hilbfam.setfam import (
     make_uniform_family,
 )
 from hilbfam.theorems import verify_ideal_truncation_equality
+from test_gflinalg import echelon
 
 
 def oracle_rank(rows, p):
@@ -564,7 +565,7 @@ def levels_fed(n, d, q, m, p, spin):
     kernel = red.kernel_matrix()
     others = [k for k in family_sizes(n, d, q) if k != d]
     hilbert._feed_family(red, n, others, monos, spin=spin)
-    return kernel, red.echelon_rows(), red.kernel_matrix()
+    return kernel, echelon(red.rref())[0], red.kernel_matrix()
 
 
 class TestSpinning:
@@ -643,3 +644,32 @@ class TestSpinning:
         for call in calls:
             with pytest.raises(EnumerationCapError):
                 call()
+
+
+def assert_same_rref(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class TestHandOver:
+    """A driver's RREF is the reducer's own store, handed over in place.
+    Rows fed after it that raise the rank must leave it as it was."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("spin", [True, False])
+    def test_family_rref_unchanged_by_more_levels(self, monkeypatch, spin, p):
+        real = hilbert._feed_family
+        monkeypatch.setattr(hilbert, "_feed_family", lambda *args: real(*args, spin=spin))
+        alone, monos, h = family_rref(8, (2,), 3, p)
+        rref, more_monos, h_more = family_rref(8, (2,), 3, p, family_sizes(8, 2, 4))
+        assert h == alone.pivots.size < h_more
+        assert more_monos == monos
+        assert_same_rref(rref, alone)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_nested_kernel_unchanged_by_the_points_of_g(self, p):
+        f, g = family_points(8, 2), family_points(8, 2, 4)
+        rref, _, h_g = hilbert.nested_kernel(f, g, 3, p, 1)
+        red, _ = hilbert._reduce_points(f, 3, p, 1)
+        assert red.rank < h_g
+        assert_same_rref(rref, red.rref())
