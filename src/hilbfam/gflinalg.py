@@ -10,21 +10,25 @@ and the canonical kernel basis do not depend on how the rows arrive.
 The engine follows the delayed-update scheme of Dumas, Giorgi and
 Pernet (FFLAS-FFPACK, ACM TOMS 2008).  The basis is kept as R, its rows
 on the current free columns only: each row's 1 at its own pivot and 0s
-at the other pivots are implicit.  A block of rows is reduced against R
-once, ``block[:, free] - block[:, pivots] @ R``, and from then on lives
-on the free columns alone.  It is eliminated in panels of ``_PANEL``
-rows.  Each panel is reduced against the rows earlier panels of the same
-block added, brought to RREF by recursive halving down to ``_LEAF``-row
-leaves (each merge is two products: the top half's pivots are cleared
-from the bottom half, then the bottom half's from the top), and clears
-its new pivots from the rows its own block added, which are compacted
-onto the columns still free after every panel.  Once the block is done,
-one pass clears all of the block's new pivots from the earlier blocks'
-rows and compacts them, one product per ``_CHUNK`` rows, so the basis is
-in RREF again whenever :meth:`RowReducer.add_rows` returns.  Each update
-``sub -= product; sub %= p`` reduces mod p once: the product comes back
-exact and unreduced.  :meth:`RowReducer.rref` hands R over as it is
-stored, rows in the order they joined the basis, as an :class:`Rref`.
+at the other pivots are implicit.  A block of rows is taken a chunk at a
+time (:func:`chunk_rows`: ``_CHUNK_BYTES`` of rows, and at least
+``_CHUNK_FLOOR`` rows where R is that large), and each chunk is converted
+and reduced against R, ``chunk[:, free] - chunk[:, pivots] @ R``, only
+when its turn comes; from then on it lives on the free columns alone, so
+beside R and the block as it came, only one chunk is ever in the working
+dtype.  A chunk is eliminated in panels of ``_PANEL`` rows.  Each panel
+is reduced against the rows earlier panels of the same block added,
+brought to RREF by recursive halving down to ``_LEAF``-row leaves (each
+merge is two products: the top half's pivots are cleared from the bottom
+half, then the bottom half's from the top), and clears its new pivots
+from the rows its own block added, which are compacted onto the columns
+still free after every panel.  Once the block is done, one pass clears
+all of the block's new pivots from the earlier blocks' rows and compacts
+them, one product per ``_CHUNK`` rows, so the basis is in RREF again
+whenever :meth:`RowReducer.add_rows` returns.  Each update ``sub -=
+product; sub %= p`` reduces mod p once: the product comes back exact and
+unreduced.  :meth:`RowReducer.rref` hands R over as it is stored, rows in
+the order they joined the basis, as an :class:`Rref`.
 
 The working dtype is fixed at construction from ``max(cols, 1) *
 (p-1)^2``, the largest sum a product can reach.  Under 2^21 the basis,
@@ -35,10 +39,11 @@ in int64 arithmetic under 2^62.  :class:`RowReducer` refuses larger
 fields.  What the reducer returns is int64 either way.
 
 A bool block, the form cap-1 evaluation rows arrive in, is already
-reduced (0 and 1 lie in 0..p-1 for every p), and only its free and pivot
-columns are converted to the working dtype; any other input is reduced
-with int64 ``% p`` first.  :meth:`RowReducer.add_basis_images` feeds
-permuted basis rows, written straight from R in the working dtype.
+reduced (0 and 1 lie in 0..p-1 for every p), and only a chunk's free and
+pivot columns are converted to the working dtype; any other input is
+taken as int64 and reduced with ``% p`` a chunk at a time.
+:meth:`RowReducer.add_basis_images` feeds permuted basis rows, written
+straight from R in the working dtype.
 """
 
 from __future__ import annotations
@@ -69,6 +74,14 @@ _INT64_EXACT_LIMIT = 2**62
 _PANEL = 128
 _LEAF = 16
 _CHUNK = 128
+# Bytes per chunk of rows that is converted, reduced against R or
+# evaluated at a time (see :func:`chunk_rows`), and the rows a chunk holds
+# at least where R is as large as that.  On one thread an sgemm against R
+# at q = 8 shapes (4096 x 12288) ran at 80 GFLOP/s with 128 rows, 113
+# with 512 and 119-125 with 1024 or more.  With 2 MiB chunks a round of
+# the odd-elim benchmark took 4200 minor page faults, with 1 MiB 2500.
+_CHUNK_BYTES = 1 << 20
+_CHUNK_FLOOR = 512
 # Entries per block of the float32 `_mod`: 256 KiB, within a core's L2.
 _MOD_ENTRIES = 1 << 16
 
@@ -110,6 +123,16 @@ def product_dtype(k: int, p: int) -> type:
     if bound < _INT64_EXACT_LIMIT:
         return np.int64
     raise ValueError(f"modulus {p} too large for exact matmul at this size")
+
+
+def chunk_rows(row_bytes: int, r_bytes: int = 0) -> int:
+    """Rows per chunk of rows of `row_bytes` bytes each, next to an R of
+    `r_bytes` bytes: ``_CHUNK_BYTES`` worth, and at least ``_CHUNK_FLOOR``
+    where R holds that many rows' bytes, so that a chunk's product against
+    R keeps its BLAS rate.  A chunk then takes at most the larger of
+    ``_CHUNK_BYTES`` and R's bytes, give or take one row."""
+    row_bytes = max(row_bytes, 1)
+    return max(1, _CHUNK_BYTES // row_bytes, min(_CHUNK_FLOOR, r_bytes // row_bytes))
 
 
 def _matmul_exact(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -266,11 +289,13 @@ class RowReducer:
     The basis is stored as R: its rows in the order they joined, on the
     current free columns only, one after another in one flat buffer (the
     store).  Each row's 1 at its own pivot and 0s at the other pivots are
-    implicit.  Compaction runs at two rates: a block's new rows are
-    compacted onto the columns still free after every panel, and the
-    earlier blocks' rows are back-eliminated and compacted once, when the
-    block is done, both in place, front to back.  :meth:`rref` hands R
-    over as a read-only view of the store, without a copy.
+    implicit.  A block's new rows follow R's, at the stride of the
+    columns still free, and are compacted onto them after every panel;
+    the earlier blocks' rows are back-eliminated and compacted once, when
+    the block is done, both in place, front to back.  So the store's used
+    prefix never runs past R's rows at their stride before the block plus
+    the block's new rows at theirs.  :meth:`rref` hands R over as a
+    read-only view of the store, without a copy.
 
     The store is float32 while ``max(cols, 1) * (p-1)^2 < 2^21``: every
     value the elimination makes (an entry minus a product of at most
@@ -289,6 +314,8 @@ class RowReducer:
             raise ValueError(f"modulus must be prime, got {p}")
         if cols < 0:
             raise ValueError(f"cols must be nonnegative, got {cols}")
+        if rows < 0:
+            raise ValueError(f"rows must be nonnegative, got {rows}")
         bound = max(cols, 1) * (p - 1) ** 2
         if bound >= _INT64_EXACT_LIMIT:
             raise ValueError(
@@ -303,6 +330,9 @@ class RowReducer:
         self._store = np.zeros(min(rows, cols) * cols, dtype=dtype)
         self._pivots = np.zeros(0, dtype=np.intp)
         self._free = np.arange(cols)
+        # Set once an Rref may view the store, which must then never be
+        # resized; cleared when R moves to a fresh store.
+        self._handed = False
 
     @property
     def rank(self) -> int:
@@ -313,14 +343,14 @@ class RowReducer:
         positions, ascending, of the rows that raised the rank: each is
         independent of the basis and of every row before it in the block.
         A single row is position 0.  A bool block is 0/1 and so already
-        reduced; anything else is reduced with int64 ``% p`` first, so any
-        integer input is safe to convert."""
+        reduced; anything else is taken as int64 and reduced with ``% p``
+        a chunk at a time, so any integer input is safe to convert."""
         arr = np.asarray(rows)
         if arr.dtype != np.bool_:
-            arr = np.asarray(rows, dtype=np.int64) % self.p
+            arr = np.asarray(rows, dtype=np.int64)
         if arr.ndim not in (1, 2) or arr.shape[-1] != self.cols:
             raise ValueError(f"expected a row or rows of {self.cols} columns, got shape {arr.shape}")
-        return self._add_block(self._reduce(np.atleast_2d(arr)))
+        return self._add_block(np.atleast_2d(arr))
 
     def add_basis_images(self, start: int, stop: int, perms: list[np.ndarray]) -> None:
         """Bring in ``row[perm]`` for every basis row start..stop, in the
@@ -334,19 +364,20 @@ class RowReducer:
             inv = np.argsort(perm)
             images[t * k : (t + 1) * k, inv[self._free]] = self._rows()[start:stop]
             images[t * k + np.arange(k), inv[pivots]] = 1
-        # Rebound, so the images are freed before the block is eliminated.
-        images = self._reduce(images)
         self._add_block(images)
 
     def rref(self) -> Rref:
         """The RREF as an :class:`Rref` whose rows are a read-only view of
-        R, rows and pivots in join order.  The store is cut back to R first,
-        in place, so the memory past it is freed.  A later row that adds a
-        pivot then needs a larger store and leaves this one as it is, and
-        one that adds none writes nothing, so the result never changes."""
-        # ndarray.resize refuses while a view of the store is alive, but a
-        # resize to the same size does nothing, as on a second call.
-        self._store.resize(self.rank * self._free.size)
+        R, rows and pivots in join order.  The first call on a store cuts it
+        back to R, in place, so the memory past it is freed.  A later row
+        that adds a pivot then needs a larger store and leaves this one as
+        it is (one that fills every free column writes no entry), and one
+        that adds none writes nothing, so the result never changes."""
+        if not self._handed:
+            # No view of this store is alive yet, so the resize needs no
+            # reference check, which profilers and debuggers would defeat.
+            self._store.resize(self.rank * self._free.size, refcheck=False)
+            self._handed = True
         rows = self._rows()
         rows.flags.writeable = False
         return Rref(rows, self._pivots.copy(), self._free.copy())
@@ -358,10 +389,10 @@ class RowReducer:
 
     # -- the store ---------------------------------------------------------
 
-    def _view(self, first: int, count: int, stride: int, width: int) -> np.ndarray:
-        """Rows first..first+count of the store laid out `stride` entries
-        apart, on their first `width` entries."""
-        flat = self._store[first * stride : (first + count) * stride]
+    def _view(self, offset: int, count: int, stride: int, width: int) -> np.ndarray:
+        """`count` rows of the store from entry `offset` on, laid out
+        `stride` entries apart, on their first `width` entries."""
+        flat = self._store[offset : offset + count * stride]
         return flat.reshape(count, stride)[:, :width]
 
     def _rows(self) -> np.ndarray:
@@ -376,6 +407,7 @@ class RowReducer:
             fresh = np.zeros(rows * self.cols, dtype=self._store.dtype)
             fresh[:used] = self._store[:used]
             self._store = fresh
+            self._handed = False
 
     # -- elimination -------------------------------------------------------
 
@@ -429,9 +461,11 @@ class RowReducer:
             _subtract(target[:, lo:], _matmul_exact(coeffs, rows[:, lo:], self.p), self.p)
 
     def _reduce(self, block: np.ndarray) -> np.ndarray:
-        """`block`, reduced mod p (bool counts as 0/1), reduced against R
-        once, onto the free columns, in the working dtype: only its free
-        and pivot columns are converted."""
+        """`block` (bool, int64, or reduced in the working dtype) reduced
+        mod p and against R, onto the free columns, in the working dtype:
+        only its free and pivot columns are converted."""
+        if block.dtype == np.int64:
+            block = block % self.p
         if not self.rank:
             return np.ascontiguousarray(block, dtype=self._store.dtype)
         work = np.take(block, self._free, axis=1).astype(self._store.dtype, copy=False)
@@ -440,61 +474,75 @@ class RowReducer:
             _subtract(work, _matmul_exact(coeffs, self._rows(), self.p), self.p)
         return work
 
-    def _add_block(self, work: np.ndarray) -> np.ndarray:
-        """Bring `work`, rows reduced by :meth:`_reduce`, into the basis;
-        return the positions of its rows that raised the rank, ascending.
+    def _add_block(self, block: np.ndarray) -> np.ndarray:
+        """Bring `block` into the basis; return the positions of its rows
+        that raised the rank, ascending.
 
-        Its new rows follow R's in the store, at R's stride, on `keep`: the
-        columns of `work` still free, in ``_PANEL``-row panels.  `new`
-        lists their pivots as columns of `work`, in join order."""
+        The block is taken a chunk of :func:`chunk_rows` rows at a time,
+        each converted and reduced against R by :meth:`_reduce` only when
+        its panels' turn comes, so beside R only one chunk is in the
+        working dtype.  A chunk's live rows go in ``_PANEL``-row panels.
+        Its new rows follow R's in the store, from entry `base` on, on
+        `keep`: the columns of the block still free, at the stride
+        ``keep.size``, which shrinks after every panel that adds pivots.
+        `new` lists their pivots as columns of the block's free part, in
+        join order."""
         p, start, width = self.p, self.rank, self._free.size
-        live = np.flatnonzero(work.any(axis=1))
+        base = start * width
+        itemsize = self._store.itemsize
+        step = max(_PANEL, chunk_rows(self.cols * itemsize, base * itemsize))
         keep = np.arange(width)
         new: list[int] = []
-        raised = [live[:0]]
-        for at in (live[i : i + _PANEL] for i in range(0, live.size, _PANEL)):
-            panel = work[at]
-            if new:
-                coeffs = panel[:, new]
-                panel = np.take(panel, keep, axis=1)
-                if coeffs.any():
-                    added = self._view(start, len(new), width, keep.size)
-                    _subtract(panel, _matmul_exact(coeffs, added, p), p)
-            found, pivots = self._eliminate(panel)
-            if pivots:
-                self._reserve((start + len(new) + len(found)) * width, (start + len(new)) * width)
-                stay = np.delete(np.arange(keep.size), pivots)
-                rows = np.take(panel[found], stay, axis=1)
-                self._clear_compact(self._view(start, len(new), width, keep.size), pivots, stay, rows,
-                                    start, width)
-                self._view(start + len(new), len(found), width, stay.size)[:] = rows
-                new.extend(keep[pivots].tolist())
-                keep = keep[stay]
-                raised.append(at[found])
+        raised = [np.zeros(0, dtype=np.intp)]
+        for first in range(0, block.shape[0], step):
+            work = self._reduce(block[first : first + step])
+            live = np.flatnonzero(work.any(axis=1))
+            for at in (live[i : i + _PANEL] for i in range(0, live.size, _PANEL)):
+                panel = work[at]
+                if new:
+                    coeffs = panel[:, new]
+                    panel = np.take(panel, keep, axis=1)
+                    if coeffs.any():
+                        added = self._view(base, len(new), keep.size, keep.size)
+                        _subtract(panel, _matmul_exact(coeffs, added, p), p)
+                found, pivots = self._eliminate(panel)
+                if pivots:
+                    stay = np.delete(np.arange(keep.size), pivots)
+                    self._reserve(base + (len(new) + len(found)) * stay.size, base + len(new) * keep.size)
+                    rows = np.take(panel[found], stay, axis=1)
+                    added = self._view(base, len(new), keep.size, keep.size)
+                    self._clear_compact(added, pivots, stay, rows, base, stay.size)
+                    self._view(base + len(new) * stay.size, len(found), stay.size, stay.size)[:] = rows
+                    new.extend(keep[pivots].tolist())
+                    keep = keep[stay]
+                    raised.append(first + at[found])
+            # Freed before the next chunk is reduced, not beside it.
+            del work
         if new:
             # Back-eliminate and compact the earlier blocks' rows, then
             # close up the block's own rows behind them.
-            added = self._view(start, len(new), width, keep.size)
+            added = self._view(base, len(new), keep.size, keep.size)
             self._clear_compact(self._view(0, start, width, width), new, keep, added, 0, keep.size)
-            self._clear_compact(added, [], np.arange(keep.size), added, start, keep.size)
+            self._clear_compact(added, [], np.arange(keep.size), added, start * keep.size, keep.size)
             self._pivots = np.concatenate([self._pivots, self._free[new]])
             self._free = self._free[keep]
         return np.concatenate(raised)
 
     def _clear_compact(self, rows: np.ndarray, pivots, stay: np.ndarray, clear: np.ndarray,
-                       first: int, stride: int) -> None:
+                       offset: int, stride: int) -> None:
         """Clear `pivots` from `rows`, a view of the store, and write them
-        back on the columns `stay` only, from store row `first` on at
+        back on the columns `stay` only, from store entry `offset` on at
         `stride`, ``_CHUNK`` rows per product.  `clear` holds, on `stay`,
         the rows that are the identity at `pivots`.  The writes never pass
-        the rows still to be read: `stride` is at most the view's."""
+        the rows still to be read: `offset` is at most the view's, and
+        `stride` at most its stride."""
         for i in range(0, rows.shape[0], _CHUNK):
             chunk = rows[i : i + _CHUNK]
             coeffs = np.take(chunk, pivots, axis=1)
             sub = np.take(chunk, stay, axis=1)
             if coeffs.any():
                 _subtract(sub, _matmul_exact(coeffs, clear, self.p), self.p)
-            self._view(first + i, len(chunk), stride, stay.size)[:] = sub
+            self._view(offset + i * stride, len(chunk), stride, stay.size)[:] = sub
 
 
 def rank_mod_p(matrix: FpMatrix) -> int:

@@ -5,11 +5,12 @@ points and whose columns are the reduced monomials of degree at most m
 (exponent cap 1 for 0/1 point sets, p-1 in general; both caps preserve
 values pointwise, so the reduced columns span the full degree-<= m
 function space).  Its rows are whole-array products over the monomials'
-exponent matrix, built once per feed (see :func:`_eval_rows`); cap-1
-rows are bool, which the reducer takes as already reduced and converts
-once, straight to its working dtype.  Every question is one
-elimination through the incremental reducer, fed in blocks of at most
-``_BLOCK_ROWS`` rows so the matrix is never materialized:
+exponent matrix (see :func:`_eval_rows`); cap-1 rows are bool, made from
+float32 counts one chunk at a time, which the reducer takes as already
+reduced and converts a chunk at a time, straight to its working dtype.
+Every question is one elimination through the incremental reducer, fed
+in blocks of at most ``_BLOCK_ROWS`` rows so the matrix is never
+materialized:
 
 - a value or kernel of caller-supplied points feeds every point row;
 - a whole series feeds the transposed matrix, monomial rows over point
@@ -54,7 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gflinalg import Rref, RowReducer
+from .gflinalg import Rref, RowReducer, chunk_rows
 from .poly import Monomial, Point, Polynomial, monomials_upto
 from .setfam import Params, binomial, family_sizes, is_power_of, is_prime, level_points
 
@@ -88,18 +89,24 @@ def _eval_rows(arr: np.ndarray, exps: np.ndarray, p: int, cap: int, dtype=None) 
     """Evaluate every monomial, one int64 row of exponents each in `exps`,
     at every point of a row block.
 
-    At cap 1, one float32 product counts the monomial's variables that are
-    0 at the point (exact: counts are at most n); the value is count == 0,
-    returned as bool, or written as 0/1 into `dtype`, over the counts when
-    that is float32.  At cap p-1, one gather-multiply mod p per variable,
-    returned as int64 or `dtype`."""
+    At cap 1, a float32 product counts the monomial's variables that are 0
+    at the point (exact: counts are at most n); the value is count == 0,
+    written as bool, or as 0/1 into `dtype`.  The points' 1 - x and their
+    counts are made one chunk of points at a time (see
+    ``gflinalg.chunk_rows``), so beside the output they take at most one
+    chunk, and a float32 output holds its own counts.  At cap p-1, one
+    gather-multiply mod p per variable, returned as int64 or `dtype`."""
     rows, n = arr.shape
     if cap == 1:
-        counts = (1 - arr).astype(np.float32) @ exps.T.astype(np.float32)
-        if dtype is None:
-            return counts == 0
-        out = counts if dtype == np.float32 else np.empty(counts.shape, dtype=dtype)
-        return np.equal(counts, 0, out=out, casting="unsafe")
+        out = np.empty((rows, exps.shape[0]), dtype=dtype or np.bool_)
+        exps_t = exps.T.astype(np.float32)
+        step = chunk_rows(4 * (n + exps.shape[0]))
+        for i in range(0, rows, step):
+            part = out[i : i + step]
+            zeros = np.subtract(1, arr[i : i + step], dtype=np.float32)
+            counts = np.matmul(zeros, exps_t, out=part if part.dtype == np.float32 else None)
+            np.equal(counts, 0, out=part, casting="unsafe")
+        return out
     # powers[:, i, e] = arr[:, i]^e mod p up to the largest exponent in use;
     # exact in int64, as callers' RowReducer refuses (p-1)^2 >= 2^62.
     powers = np.ones((rows, n, int(exps.max(initial=0)) + 1), dtype=np.int64)

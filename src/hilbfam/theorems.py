@@ -22,8 +22,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from . import hilbert
-from .gflinalg import Rref, product_dtype
+from .gflinalg import Rref, chunk_rows, product_dtype
 from .hilbert import (  # noqa: F401  (kernel_matrix stays importable from here)
     _eval_rows,
     _points_array,
@@ -103,20 +102,23 @@ def _vanishing_witness(
     for the canonical kernel of `rref` and the points `arr`, an integer
     array reduced mod p.
 
-    Scans points in their given order, in blocks of the hilbert module's
-    ``_BLOCK_ROWS`` points, and kernel rows in basis order, so the witness
-    is deterministic.  A block's values on every kernel row are the
-    residues of its evaluation rows E against the RREF, ``E[:, free] -
-    E[:, pivots] @ R`` mod p (:meth:`Rref.kernel_product`): a plain
-    product, which does not trust the elimination that gave R.  E is
-    evaluated straight into pivot-then-free column order, in the
-    product's dtype.  Only the witness row's polynomial is built.
+    Scans points in their given order, in blocks sized by bytes with
+    ``gflinalg.chunk_rows`` (beside R, a block's evaluations and values
+    take about one chunk, or R's bytes where R is larger), and kernel rows
+    in basis order, so the witness is deterministic.  A block's values on
+    every kernel row are the residues of its evaluation rows E against the
+    RREF, ``E[:, free] - E[:, pivots] @ R`` mod p
+    (:meth:`Rref.kernel_product`): a plain product, which does not trust
+    the elimination that gave R.  E is evaluated straight into
+    pivot-then-free column order, in the product's dtype.  Only the
+    witness row's polynomial is built.
     """
     if not rref.free.size:
         return None
     exps = np.array(monomials, dtype=np.int64)[np.concatenate([rref.pivots, rref.free])]
     dtype = product_dtype(rref.pivots.size, p)
-    step = hilbert._BLOCK_ROWS
+    itemsize = np.dtype(dtype).itemsize
+    step = chunk_rows(itemsize * (exps.shape[0] + rref.free.size), rref.rows.nbytes)
     for start in range(0, arr.shape[0], step):
         block = arr[start : start + step]
         values = rref.kernel_product(_eval_rows(block, exps, p, cap, dtype), p)

@@ -1,6 +1,8 @@
+import contextlib
 import pathlib
 import sys
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -15,3 +17,23 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("det")
+
+
+@pytest.fixture(params=["setprofile", "settrace"])
+def traced(request):
+    """A context manager that runs its body under a do-nothing profile or
+    trace hook, as cProfile and debuggers install, then puts back the hook
+    that was there."""
+    install = getattr(sys, request.param)
+    current = getattr(sys, request.param.replace("set", "get"))
+
+    @contextlib.contextmanager
+    def run():
+        old = current()
+        install(lambda frame, event, arg: None)
+        try:
+            yield
+        finally:
+            install(old)
+
+    return run

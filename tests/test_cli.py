@@ -401,6 +401,22 @@ class TestDeterminism:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestUnderATracer:
+    """cProfile, pdb and other debuggers install a profile or trace hook;
+    the output must be the untraced output, byte for byte."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "main2", "--n", "6", "--d", "3", "--q", "2", "--p", "2"],
+        ["verify", "hrubes", "--p", "3"],
+    ])
+    def test_verify_output_unchanged(self, capsys, traced, argv):
+        want = run_cli(capsys, *argv)
+        with traced():
+            got = run_cli(capsys, *argv)
+        assert want[0] == 0 and want[1]
+        assert got == want
+
+
 class TestVerifyAllSharing:
     """`verify all` answers each MAIN/MAIN2 pair from one computation."""
 

@@ -517,12 +517,15 @@ def raising_rows_oracle(data, p):
 class TestRaisedRows:
     """`add_rows` returns the positions of the rows that raised the rank.
     Panels of 8 rows and leaves of 2 make every block span several panels
-    and every panel several leaves."""
+    and every panel several leaves, and chunks of 8 to 12 rows, reduced
+    against R one at a time, cut panels short where they end."""
 
     @pytest.fixture(autouse=True)
     def small_panels(self, monkeypatch):
         monkeypatch.setattr(gflinalg, "_PANEL", 8)
         monkeypatch.setattr(gflinalg, "_LEAF", 2)
+        monkeypatch.setattr(gflinalg, "_CHUNK_BYTES", 1)
+        monkeypatch.setattr(gflinalg, "_CHUNK_FLOOR", 12)
 
     @staticmethod
     def matrix(kind, p):
@@ -768,6 +771,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             FpMatrix(2, np.array([1, 0, 1]))
 
+    def test_row_hint_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="rows must be nonnegative, got -1"):
+            RowReducer(3, 2, -1)
+        assert RowReducer(3, 2, 0).rank == 0
+
     def test_rows_must_be_a_row_or_a_block(self):
         red = RowReducer(3, 2)
         with pytest.raises(ValueError, match=r"got shape \(2, 2, 1\)"):
@@ -777,13 +785,30 @@ class TestValidation:
         assert red.rank == 0
 
 
+class TestChunkRows:
+    """Chunks hold ``_CHUNK_BYTES`` of rows, and at least ``_CHUNK_FLOOR``
+    rows where R holds that many rows' bytes."""
+
+    def test_budget_rows(self):
+        assert gflinalg.chunk_rows(4096) == gflinalg._CHUNK_BYTES // 4096
+        assert gflinalg.chunk_rows(0) == gflinalg._CHUNK_BYTES
+        assert gflinalg.chunk_rows(gflinalg._CHUNK_BYTES + 1) == 1
+
+    def test_floor_where_r_is_large(self):
+        row = 1 << 16
+        assert gflinalg._CHUNK_BYTES // row < 100 < gflinalg._CHUNK_FLOOR
+        assert gflinalg.chunk_rows(row, 100 * row + 5) == 100
+        assert gflinalg.chunk_rows(row, 1 << 40) == gflinalg._CHUNK_FLOOR
+
+
 class TestRStore:
     """The basis kept as R, its rows on the free columns in join order:
     fed as a spin feeds it, in many small blocks and image chunks, then a
     block that adds no pivot and one that fills every free column.  Run
-    with the default panels and with panels of 4 rows, leaves of 2 and
-    back-elimination chunks of 3, so blocks span several panels and the
-    compaction runs over several chunks."""
+    with the default panels and with panels of 4 rows, leaves of 2,
+    back-elimination chunks of 3 and block chunks of 4 to 6 rows, so blocks
+    span several chunks and panels and the compaction runs over several
+    chunks."""
 
     @pytest.fixture(params=["default", "small"], autouse=True)
     def sizes(self, request, monkeypatch):
@@ -791,6 +816,8 @@ class TestRStore:
             monkeypatch.setattr(gflinalg, "_PANEL", 4)
             monkeypatch.setattr(gflinalg, "_LEAF", 2)
             monkeypatch.setattr(gflinalg, "_CHUNK", 3)
+            monkeypatch.setattr(gflinalg, "_CHUNK_BYTES", 1)
+            monkeypatch.setattr(gflinalg, "_CHUNK_FLOOR", 6)
 
     @staticmethod
     def check_state(red, ref, fed, p):
@@ -901,3 +928,22 @@ class TestRStore:
         red.add_rows(eye)
         assert red.rank == 30
         unchanged()
+
+    @pytest.mark.parametrize("p", [2, 1009])
+    def test_rref_under_a_tracer(self, p, traced):
+        # Profilers and debuggers hold references to what a frame touches;
+        # the hand-over must not depend on reference counts.
+        data = multi_panel_matrix("low-rank", p, seed=97 + p, rows=50, cols=30)
+        red = RowReducer(p, 30, 50)
+        with traced():
+            red.add_rows(data)
+            handed = red.rref()
+            again = red.rref()
+            red.add_rows(np.eye(30, dtype=np.int64)[handed.free[:2]])
+            after = red.rref()
+        expected, expected_piv = oracle_rref(data.tolist(), p)
+        rows, pivots = echelon(handed)
+        assert pivots == expected_piv and rows.tolist() == expected[: len(expected_piv)]
+        assert np.shares_memory(handed.rows, again.rows)
+        assert after.pivots.size == handed.pivots.size + 2
+        assert not np.shares_memory(after.rows, handed.rows)

@@ -666,6 +666,17 @@ class TestHandOver:
         assert more_monos == monos
         assert_same_rref(rref, alone)
 
+    @pytest.mark.parametrize("spin", [True, False])
+    def test_family_rref_under_a_tracer(self, monkeypatch, traced, spin):
+        real = hilbert._feed_family
+        monkeypatch.setattr(hilbert, "_feed_family", lambda *args: real(*args, spin=spin))
+        args = (8, (2,), 3, 3, family_sizes(8, 2, 4))
+        want, monos, h = family_rref(*args)
+        with traced():
+            got = family_rref(*args)
+        assert_same_rref(got[0], want)
+        assert got[1:] == (monos, h)
+
     @pytest.mark.parametrize("p", [2, 3])
     def test_nested_kernel_unchanged_by_the_points_of_g(self, p):
         f, g = family_points(8, 2), family_points(8, 2, 4)

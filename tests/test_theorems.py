@@ -1,6 +1,7 @@
 """Claim drivers: statuses, metrics, witnesses, cross-implications."""
 
 import json
+import tracemalloc
 from itertools import combinations, product
 from math import prod
 from unittest import mock
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hilbfam import hilbert, theorems
+from hilbfam import gflinalg, hilbert, theorems
 from hilbfam.gflinalg import Rref, matmul_mod
 from hilbfam.hilbert import (
     _eval_rows,
@@ -24,6 +25,7 @@ from hilbfam.hilbert import (
 from hilbfam.poly import monomials_upto
 from hilbfam.setfam import (
     EnumerationCapError,
+    binomial,
     family_points,
     make_modq_family,
     make_uniform_family,
@@ -433,6 +435,47 @@ class TestCrossImplications:
                     assert main2.status == PASS
 
 
+def traced_peak(run):
+    """`run()` and the peak of the memory tracemalloc sees it allocate."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """The elimination and the witness scan of verify_main2(13, 6, 5, 5)
+    hold R and one chunk at a time, not a whole block in the working dtype.
+    tracemalloc counts numpy's allocations, wherever glibc places them."""
+
+    n, d, q, p = 13, 6, 5, 5
+
+    def test_elimination(self):
+        monos = monomials_upto(self.n, self.q - 1, 1)
+        cols, points = len(monos), binomial(self.n, self.d)
+        (rref, _, _), peak = traced_peak(lambda: hilbert.family_rref(self.n, (self.d,), self.q - 1, self.p))
+        assert rref.rows.dtype == np.float32
+        # The store reserved for R (calloc'd, so only R's pages are
+        # touched), the bool rows of the one streamed block, one chunk and
+        # the temporaries of a few panels; a float32 copy of the whole
+        # block would not fit in what is left.
+        store = min(points, cols) * cols * 4
+        panels = 6 * gflinalg._PANEL * cols * 4
+        bound = store + points * cols + gflinalg._CHUNK_BYTES + panels
+        assert peak <= bound < peak + points * cols * 4
+
+    def test_scan(self):
+        rref, monos, _ = hilbert.family_rref(self.n, (self.d,), self.q - 1, self.p)
+        modq = family_points(self.n, self.d, self.q)
+        witness, peak = traced_peak(lambda: theorems._vanishing_witness(rref, monos, modq, self.p, 1))
+        assert witness is None
+        # Float32 evaluations of all 1807 points would not fit.
+        bound = rref.rows.nbytes + gflinalg._CHUNK_BYTES
+        assert peak <= bound < peak + modq.shape[0] * len(monos) * 4
+
+
 class TestWitnessMachinery:
     """The residue scan on fixtures written as (R, pivots, free)."""
 
@@ -447,9 +490,9 @@ class TestWitnessMachinery:
         assert witness == {"polynomial": "1", "point": [0, 0], "value": 1}
 
     @pytest.mark.parametrize("p", [3, 1009])
-    def test_first_pair_past_the_first_block_and_the_first_row(self, p):
-        # The odd-size subsets of [13], 4096 points over two scan blocks;
-        # the first block is every subset holding 1.  Each kernel row is
+    def test_first_pair_past_the_first_block_and_the_first_row(self, monkeypatch, p):
+        # The odd-size subsets of [13], 4096 points over two scan blocks of
+        # 2048; the first block is every subset holding 1.  Each kernel row is
         # +-(1 - x1) * x_k, zero on the first block, normalised to 1 at its
         # free column: x13 - x1*x13 (free x13, the first column past the
         # constant) and x1*x_k - x_k for k = 4, 3 (free x1*x4 < x1*x3).
@@ -479,6 +522,7 @@ class TestWitnessMachinery:
             kernel[j, partner] = p - 1
         rref = Rref(rows, pivots, free)
         assert np.array_equal(rref.kernel(p), kernel)
+        monkeypatch.setattr(theorems, "chunk_rows", lambda *sizes: hilbert._BLOCK_ROWS)
         witness = _vanishing_witness(rref, monos, points, p, 1)
 
         expected = None
