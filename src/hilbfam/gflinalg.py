@@ -75,13 +75,19 @@ _PANEL = 128
 _LEAF = 16
 _CHUNK = 128
 # Bytes per chunk of rows that is converted, reduced against R or
-# evaluated at a time (see :func:`chunk_rows`), and the rows a chunk holds
-# at least where R is as large as that.  On one thread an sgemm against R
-# at q = 8 shapes (4096 x 12288) ran at 80 GFLOP/s with 128 rows, 113
-# with 512 and 119-125 with 1024 or more.  With 2 MiB chunks a round of
-# the odd-elim benchmark took 4200 minor page faults, with 1 MiB 2500.
+# evaluated at a time (see :func:`chunk_rows`), and the rows a chunk of
+# the elimination, or a block of the witness scan, holds at least where R
+# is as large as that.  On one thread an sgemm against R at q = 8 shapes
+# (4096 x 12288) ran at 80 GFLOP/s with 128 rows, 113 with 512 and
+# 119-125 with 1024 or more.  The scan is one such product per block and
+# holds nothing else beside R: at q = 8 it took 8.7 s with 512-point
+# blocks, 7.4 with 1024 and 7.35 with 2048.  The elimination's chunks sit
+# beside the store and the block, and 1024 rows would take the q = 8 rung
+# past 450 MiB.  With 2 MiB chunks a round of the odd-elim benchmark took
+# 4200 minor page faults, with 1 MiB 2500.
 _CHUNK_BYTES = 1 << 20
 _CHUNK_FLOOR = 512
+_SCAN_FLOOR = 1024
 # Entries per block of the float32 `_mod`: 256 KiB, within a core's L2.
 _MOD_ENTRIES = 1 << 16
 
@@ -125,14 +131,14 @@ def product_dtype(k: int, p: int) -> type:
     raise ValueError(f"modulus {p} too large for exact matmul at this size")
 
 
-def chunk_rows(row_bytes: int, r_bytes: int = 0) -> int:
+def chunk_rows(row_bytes: int, r_bytes: int = 0, floor: int = _CHUNK_FLOOR) -> int:
     """Rows per chunk of rows of `row_bytes` bytes each, next to an R of
-    `r_bytes` bytes: ``_CHUNK_BYTES`` worth, and at least ``_CHUNK_FLOOR``
-    where R holds that many rows' bytes, so that a chunk's product against
-    R keeps its BLAS rate.  A chunk then takes at most the larger of
+    `r_bytes` bytes: ``_CHUNK_BYTES`` worth, and at least `floor` where R
+    holds that many rows' bytes, so that a chunk's product against R keeps
+    its BLAS rate.  A chunk then takes at most the larger of
     ``_CHUNK_BYTES`` and R's bytes, give or take one row."""
     row_bytes = max(row_bytes, 1)
-    return max(1, _CHUNK_BYTES // row_bytes, min(_CHUNK_FLOOR, r_bytes // row_bytes))
+    return max(1, _CHUNK_BYTES // row_bytes, min(floor, r_bytes // row_bytes))
 
 
 def _matmul_exact(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .gflinalg import Rref, chunk_rows, product_dtype
+from .gflinalg import _SCAN_FLOOR, Rref, chunk_rows, product_dtype
 from .hilbert import (  # noqa: F401  (kernel_matrix stays importable from here)
     _eval_rows,
     _points_array,
@@ -103,11 +103,12 @@ def _vanishing_witness(
     array reduced mod p.
 
     Scans points in their given order, in blocks sized by bytes with
-    ``gflinalg.chunk_rows`` (beside R, a block's evaluations and values
-    take about one chunk, or R's bytes where R is larger), and kernel rows
-    in basis order, so the witness is deterministic.  A block's values on
-    every kernel row are the residues of its evaluation rows E against the
-    RREF, ``E[:, free] - E[:, pivots] @ R`` mod p
+    ``gflinalg.chunk_rows``: beside R, a block's evaluations and values
+    take one chunk, or ``_SCAN_FLOOR`` points where R holds that many
+    points' bytes, so its product against R keeps its BLAS rate.  Kernel
+    rows go in basis order, so the witness is deterministic.  A block's
+    values on every kernel row are the residues of its evaluation rows E
+    against the RREF, ``E[:, free] - E[:, pivots] @ R`` mod p
     (:meth:`Rref.kernel_product`): a plain product, which does not trust
     the elimination that gave R.  E is evaluated straight into
     pivot-then-free column order, in the product's dtype.  Only the
@@ -118,7 +119,7 @@ def _vanishing_witness(
     exps = np.array(monomials, dtype=np.int64)[np.concatenate([rref.pivots, rref.free])]
     dtype = product_dtype(rref.pivots.size, p)
     itemsize = np.dtype(dtype).itemsize
-    step = chunk_rows(itemsize * (exps.shape[0] + rref.free.size), rref.rows.nbytes)
+    step = chunk_rows(itemsize * (exps.shape[0] + rref.free.size), rref.rows.nbytes, _SCAN_FLOOR)
     for start in range(0, arr.shape[0], step):
         block = arr[start : start + step]
         values = rref.kernel_product(_eval_rows(block, exps, p, cap, dtype), p)

@@ -796,9 +796,10 @@ class TestChunkRows:
 
     def test_floor_where_r_is_large(self):
         row = 1 << 16
-        assert gflinalg._CHUNK_BYTES // row < 100 < gflinalg._CHUNK_FLOOR
+        assert gflinalg._CHUNK_BYTES // row < 100 < gflinalg._CHUNK_FLOOR < gflinalg._SCAN_FLOOR
         assert gflinalg.chunk_rows(row, 100 * row + 5) == 100
         assert gflinalg.chunk_rows(row, 1 << 40) == gflinalg._CHUNK_FLOOR
+        assert gflinalg.chunk_rows(row, 1 << 40, gflinalg._SCAN_FLOOR) == gflinalg._SCAN_FLOOR
 
 
 class TestRStore:
