@@ -12,7 +12,7 @@ import csv
 import sys
 
 from hilbfam.hilbert import hilbert_series, modq_value, wilson_value
-from hilbfam.setfam import make_modq_family, make_uniform_family
+from hilbfam.setfam import family_points
 
 
 def main() -> int:
@@ -26,12 +26,12 @@ def main() -> int:
     writer.writerow(["family", "n", "d", "p", "m", "h", "closed_form"])
     for n in range(1, args.n_max + 1):
         for d in range(n + 1):
-            series = hilbert_series(make_uniform_family(n, d).points(), args.p, 1)
+            series = hilbert_series(family_points(n, d), args.p, 1)
             for m, h in enumerate(series):
                 closed = wilson_value(n, d, m) if m <= min(d, n - d) else ""
                 writer.writerow(["uniform", n, d, args.p, m, h, closed])
             if args.q:
-                series = hilbert_series(make_modq_family(n, d, args.q).points(), args.p, 1)
+                series = hilbert_series(family_points(n, d, args.q), args.p, 1)
                 for m, h in enumerate(series):
                     writer.writerow(
                         [f"mod{args.q}", n, d, args.p, m, h, modq_value(n, d, args.q, m)]

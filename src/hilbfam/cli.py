@@ -5,7 +5,8 @@ reports (stable key order, no timestamps unless --timing is given), so
 repeated runs with equal arguments produce byte-identical output.
 
 Exit codes: 0 success/PASS, 1 FAIL or false/not-found results,
-2 usage or validation errors, 3 resource-cap errors.
+2 usage or validation errors (an unreadable family file among them),
+3 resource-cap errors and refused allocations.
 """
 
 from __future__ import annotations
@@ -240,7 +241,11 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
 
 
 def cmd_balance_check(args: argparse.Namespace) -> int:
-    family = parse_family(Path(args.family).read_text())
+    try:
+        text = Path(args.family).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read family file {args.family!r}: {exc.strerror}") from exc
+    family = parse_family(text)
     if args.n is not None and args.n != family.n:
         raise ValueError(f"--n {args.n} disagrees with family file n={family.n}")
     p = args.p if args.p is not None else family.n // 2
@@ -383,6 +388,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation refused'}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,13 +4,12 @@ The value h(m) is the rank of the evaluation matrix whose rows are
 points and whose columns are the reduced monomials of degree at most m
 (exponent cap 1 for 0/1 point sets, p-1 in general; both caps preserve
 values pointwise, so the reduced columns span the full degree-<= m
-function space).  Its rows are whole-array products over the monomials'
-exponent matrix (see :func:`_eval_rows`); cap-1 rows are bool, made from
-float32 counts one chunk at a time, which the reducer takes as already
-reduced and converts a chunk at a time, straight to its working dtype.
-Every question is one elimination through the incremental reducer, fed
-in blocks of at most ``_BLOCK_ROWS`` rows so the matrix is never
-materialized:
+function space).  The columns are one exponent array,
+``poly.monomial_table``, passed on as it is; only :func:`kernel_matrix`
+returns them as tuples.  Rows are whole-array products over it (see
+:func:`_eval_rows`).  Every question is one elimination through the
+incremental reducer, fed in blocks of at most ``_BLOCK_ROWS`` rows so the
+matrix is never materialized:
 
 - a value or kernel of caller-supplied points feeds every point row;
 - a whole series feeds the transposed matrix, monomial rows over point
@@ -31,21 +30,17 @@ question about them at one degree bound (the reports, ``hilbfam ideal``,
 and the MAIN2, HRUBES and HLEMMA drivers) is one :func:`family_rref` over
 the levels that ``setfam.family_sizes`` names.  When a question's levels
 hold more than max(2 * columns, ``_BLOCK_ROWS``) points, their row space
-is spun from one seed row per level under two generators of S_n instead
-(see :func:`_feed_family`); below that, streaming every point is as
-cheap.  The RREF of a row space is unique, so both paths give the same
-kernels and values.
+is spun from one seed row per level under two generators of S_n instead,
+whose column permutations are looked up in the monomial array (see
+:func:`_feed_family`); below that, streaming every point is as cheap.
+The RREF of a row space is unique, so both paths give the same kernels
+and values.
 
-The drivers take the RREF itself, as a :class:`~hilbfam.gflinalg.Rref`
-from :func:`family_rref` or :func:`nested_kernel`, not the canonical
-kernel: kernel row j is fixed by column j of the RREF rows R on the free
-columns, so a witness scan gets every point's values on the kernel as
-residues, ``E[:, free] - E[:, pivots] @ R`` mod p, and builds only the
-witness row.  The scan still evaluates every point of the families it
-checks with a plain product: it is the cross-check that does not trust
-the elimination, so it must not lean on the symmetry argument either.
-:meth:`~hilbfam.gflinalg.Rref.kernel` and :func:`kernel_matrix` build the
-kernel for callers that want it.
+The drivers take the RREF itself, a :class:`~hilbfam.gflinalg.Rref`
+from :func:`family_rref` or :func:`nested_kernel`, and scan it for
+witnesses without building the canonical kernel (see
+``theorems._vanishing_witness``); :meth:`~hilbfam.gflinalg.Rref.kernel`
+and :func:`kernel_matrix` build it for callers that want it.
 """
 
 from __future__ import annotations
@@ -56,7 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from .gflinalg import Rref, RowReducer, chunk_rows
-from .poly import Monomial, Point, Polynomial, monomials_upto
+from .poly import Monomial, Point, Polynomial, monomial_table, monomials_upto
 from .setfam import Params, binomial, family_sizes, is_power_of, is_prime, level_points
 
 _BLOCK_ROWS = 2048
@@ -86,8 +81,8 @@ def _validate_cap(arr: np.ndarray, p: int, cap: int) -> None:
 
 
 def _eval_rows(arr: np.ndarray, exps: np.ndarray, p: int, cap: int, dtype=None) -> np.ndarray:
-    """Evaluate every monomial, one int64 row of exponents each in `exps`,
-    at every point of a row block.
+    """Evaluate every monomial, one row of exponents each in `exps` (rows
+    of a monomial table), at every point of a row block.
 
     At cap 1, a float32 product counts the monomial's variables that are 0
     at the point (exact: counts are at most n); the value is count == 0,
@@ -119,19 +114,40 @@ def _eval_rows(arr: np.ndarray, exps: np.ndarray, p: int, cap: int, dtype=None) 
     return out if dtype is None else out.astype(dtype, copy=False)
 
 
-def _feed_points(red: RowReducer, arr: np.ndarray, monos: Sequence[Monomial], p: int, cap: int) -> None:
-    exps = np.array(monos, dtype=np.int64)
+def _feed_points(red: RowReducer, arr: np.ndarray, exps: np.ndarray, p: int, cap: int) -> None:
     for start in range(0, arr.shape[0], _BLOCK_ROWS):
         red.add_rows(_eval_rows(arr[start : start + _BLOCK_ROWS], exps, p, cap))
 
 
+def _row_keys(rows: np.ndarray, dtype) -> np.ndarray:
+    """One byte string per row of a nonnegative integer array, its entries
+    big-endian in `dtype`, so that the strings sort as the rows do; no
+    encoding of a whole row as one integer, which would overflow."""
+    big = np.dtype(dtype).newbyteorder(">")
+    keys = np.ascontiguousarray(rows, dtype=big)
+    return keys.view(np.dtype((np.void, big.itemsize * rows.shape[1]))).ravel()
+
+
+def _spin_permutations(exps: np.ndarray) -> list[np.ndarray]:
+    """The position in the monomial table `exps` of every row with its
+    exponents permuted by (1 2) and by (1 2 ... n): e_2 e_1 e_3 .. e_n and
+    e_2 .. e_n e_1.  Keys [degree, e_1..e_n] ascend in the global order, so
+    ``searchsorted`` finds each image."""
+    n = exps.shape[1]
+    degree = exps.sum(axis=1, dtype=np.int64)
+    dtype = np.min_scalar_type(int(degree[-1]))
+    orders = (range(n), [*range(n)[1::-1], *range(2, n)], [*range(1, n), 0])
+    keys = [_row_keys(np.column_stack([degree.astype(dtype), exps[:, order]]), dtype) for order in orders]
+    return [np.searchsorted(keys[0], images) for images in keys[1:]]
+
+
 def _feed_family(
-    red: RowReducer, n: int, sizes: Sequence[int], monos: Sequence[Monomial], spin: bool | None = None
+    red: RowReducer, n: int, sizes: Sequence[int], exps: np.ndarray, spin: bool | None = None
 ) -> None:
-    """Bring into `red` the cap-1 rows, over the columns `monos`, of every
-    0/1 point of [n] whose size is in `sizes`.  What `red` holds already
-    must be closed under permuting the coordinates, as the rows of whole
-    size levels are.
+    """Bring into `red` the cap-1 rows, over the columns of the monomial
+    table `exps`, of every 0/1 point of [n] whose size is in `sizes`.  What
+    `red` holds already must be closed under permuting the coordinates, as
+    the rows of whole size levels are.
 
     Streaming feeds every point.  Spinning feeds one seed row per level,
     then both images of each basis row, in the order rows join the basis,
@@ -146,20 +162,16 @@ def _feed_family(
     if not sizes:
         return
     if spin is None:
-        spin = sum(binomial(n, k) for k in sizes) > max(2 * len(monos), _BLOCK_ROWS)
+        spin = sum(binomial(n, k) for k in sizes) > max(2 * len(exps), _BLOCK_ROWS)
     if not spin:
-        _feed_points(red, level_points(n, sizes), monos, red.p, 1)
+        _feed_points(red, level_points(n, sizes), exps, red.p, 1)
         return
-    index = {mono: j for j, mono in enumerate(monos)}
     # Row of the permuted point at monomial u = row of the point at u with
     # its exponents permuted back.
-    perms = [
-        np.array([index[mono[1::-1] + mono[2:]] for mono in monos]),
-        np.array([index[mono[1:] + mono[:1]] for mono in monos]),
-    ]
+    perms = _spin_permutations(exps)
     seeds = (np.arange(n) < np.array(sizes)[:, None]).astype(np.int64)
     done = red.rank
-    red.add_rows(_eval_rows(seeds, np.array(monos, dtype=np.int64), red.p, 1))
+    red.add_rows(_eval_rows(seeds, exps, red.p, 1))
     while done < red.rank:
         stop = min(done + _BLOCK_ROWS // 2, red.rank)
         red.add_basis_images(done, stop, perms)
@@ -168,15 +180,15 @@ def _feed_family(
 
 def _reduce_points(
     points: Sequence[Point], m: int, p: int, cap: int, rows: int | None = None
-) -> tuple[RowReducer, tuple[Monomial, ...]]:
+) -> tuple[RowReducer, np.ndarray]:
     """A reducer fed every point's row, with its basis allocated for `rows`
-    rows (default: the points)."""
+    rows (default: the points), and its monomial table."""
     arr = _points_array(points, p)
     _validate_cap(arr, p, cap)
-    monos = monomials_upto(arr.shape[1], m, cap)
-    red = RowReducer(p, len(monos), len(arr) if rows is None else rows)
-    _feed_points(red, arr, monos, p, cap)
-    return red, monos
+    exps = monomial_table(arr.shape[1], m, cap)
+    red = RowReducer(p, len(exps), len(arr) if rows is None else rows)
+    _feed_points(red, arr, exps, p, cap)
+    return red, exps
 
 
 def hilbert_value(points: Sequence[Point], m: int, p: int, cap: int) -> int:
@@ -191,16 +203,13 @@ def _next_degree(standard: np.ndarray, cap: int) -> np.ndarray:
     every lower neighbour c - e_j (c_j >= 1) is a row of `standard`.
 
     Every c = s + e_j with s in `standard` is made once per such pair, so c
-    qualifies when it is made once per nonzero entry.  Rows are grouped as
-    byte strings, big-endian so that byte order is the order of exponent
-    tuples; no encoding of a whole row as one integer, which would overflow.
+    qualifies when it is made once per nonzero entry, grouped by
+    :func:`_row_keys`, whose order is the order of exponent tuples.
     """
     rows, cols = np.nonzero(standard < cap)
     up = standard[rows]
     up[np.arange(len(rows)), cols] += 1
-    dtype = np.dtype(np.min_scalar_type(cap)).newbyteorder(">")
-    keys = np.ascontiguousarray(up, dtype=dtype).view(np.dtype((np.void, dtype.itemsize * up.shape[1])))
-    _, first, made = np.unique(keys.ravel(), return_index=True, return_counts=True)
+    _, first, made = np.unique(_row_keys(up, np.min_scalar_type(cap)), return_index=True, return_counts=True)
     up = up[first]
     return up[made == np.count_nonzero(up, axis=1)]
 
@@ -228,27 +237,26 @@ def hilbert_series(points: Sequence[Point], p: int, cap: int) -> tuple[int, ...]
 
 def kernel_matrix(points: Sequence[Point], m: int, p: int, cap: int) -> tuple[np.ndarray, tuple[Monomial, ...]]:
     """Coefficient vectors (rows) of a canonical basis of the degree-<= m
-    vanishing polynomials, over the reduced monomial columns."""
-    red, monos = _reduce_points(points, m, p, cap)
-    return red.kernel_matrix(), monos
+    vanishing polynomials, over the reduced monomial columns as tuples."""
+    red, exps = _reduce_points(points, m, p, cap)
+    return red.kernel_matrix(), monomials_upto(exps.shape[1], m, cap)
 
 
 def _rows_in(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Mask of the rows of `a` that are rows of `b`, for int64 arrays of one
-    width: each row is one byte string, looked up in b's, sorted."""
-    row = np.dtype((np.void, 8 * a.shape[1]))
-    keys = np.ascontiguousarray(a).view(row).ravel()
-    table = np.sort(np.ascontiguousarray(b).view(row).ravel())
+    """Mask of the rows of `a` that are rows of `b`, for nonnegative int64
+    arrays of one width, by their :func:`_row_keys`, looked up in b's."""
+    keys = _row_keys(a, np.int64)
+    table = np.sort(_row_keys(b, np.int64))
     at = np.searchsorted(table, keys)
     return table[np.minimum(at, len(table) - 1)] == keys
 
 
 def nested_kernel(
     points_f: Sequence[Point], points_g: Sequence[Point], m: int, p: int, cap: int
-) -> tuple[Rref, tuple[Monomial, ...], int]:
+) -> tuple[Rref, np.ndarray, int]:
     """For point sets F contained in G: the RREF of F's degree-<= m
     evaluation rows, whose kernel is :func:`kernel_matrix`'s, its monomial
-    columns, and h(G) at m.
+    table, and h(G) at m.
 
     One elimination: the rows of the points of G outside F go into F's
     reducer after its RREF is taken.  G is validated as a whole, and F
@@ -260,18 +268,18 @@ def nested_kernel(
     if arr_f.shape[1] != arr_g.shape[1] or not _rows_in(arr_f, arr_g).all():
         raise ValueError("the first point set must be contained in the second")
     # F is inside G, so G's points bound the rank.
-    red, monos = _reduce_points(arr_f, m, p, cap, len(arr_g))
+    red, exps = _reduce_points(arr_f, m, p, cap, len(arr_g))
     rref = red.rref()
-    _feed_points(red, arr_g[~_rows_in(arr_g, arr_f)], monos, p, cap)
-    return rref, monos, red.rank
+    _feed_points(red, arr_g[~_rows_in(arr_g, arr_f)], exps, p, cap)
+    return rref, exps, red.rank
 
 
 def family_rref(
     n: int, sizes: Sequence[int], m: int, p: int, more: Sequence[int] = ()
-) -> tuple[Rref, tuple[Monomial, ...], int]:
+) -> tuple[Rref, np.ndarray, int]:
     """The RREF of the cap-1 degree-<= m evaluation rows of the 0/1 points
     of [n] with sizes in `sizes`, whose kernel is :func:`kernel_matrix`'s
-    of ``level_points(n, sizes)``, its monomial columns, and h at m of the
+    of ``level_points(n, sizes)``, its monomial table, and h at m of the
     points with sizes in `sizes` or `more`.  The RREF is the reducer's R
     itself, rows and pivots in join order (see ``RowReducer.rref``).
 
@@ -282,23 +290,26 @@ def family_rref(
     them to the enumeration cap; neither need be enumerated.
     """
     others = [k for k in more if k not in sizes]
-    monos = monomials_upto(n, m, 1)
-    red = RowReducer(p, len(monos), sum(binomial(n, k) for k in [*sizes, *others]))
-    _feed_family(red, n, sizes, monos)
+    exps = monomial_table(n, m, 1)
+    red = RowReducer(p, len(exps), sum(binomial(n, k) for k in [*sizes, *others]))
+    _feed_family(red, n, sizes, exps)
     rref = red.rref()
-    _feed_family(red, n, others, monos)
-    return rref, monos, red.rank
+    _feed_family(red, n, others, exps)
+    return rref, exps, red.rank
 
 
-def vector_to_polynomial(vec: np.ndarray, monomials: Sequence[Monomial], p: int) -> Polynomial:
-    terms = {tuple(mono): int(c) for mono, c in zip(monomials, vec) if int(c)}
-    return Polynomial.from_terms(p, len(monomials[0]), terms)
+def vector_to_polynomial(vec: np.ndarray, exps: np.ndarray, p: int) -> Polynomial:
+    """The polynomial with coefficients `vec` on the monomial table `exps`,
+    its terms made from the nonzero entries only, as Python ints."""
+    nonzero = np.flatnonzero(vec)
+    terms = zip(map(tuple, exps[nonzero].tolist()), np.asarray(vec)[nonzero].tolist())
+    return Polynomial.from_terms(p, exps.shape[1], dict(terms))
 
 
 def ideal_truncation_basis(points: Sequence[Point], m: int, p: int, cap: int) -> list[Polynomial]:
     """Basis of the polynomials of degree <= m vanishing on every point."""
-    kernel, monos = kernel_matrix(points, m, p, cap)
-    return [vector_to_polynomial(row, monos, p) for row in kernel]
+    red, exps = _reduce_points(points, m, p, cap)
+    return [vector_to_polynomial(row, exps, p) for row in red.kernel_matrix()]
 
 
 def wilson_value(n: int, d: int, m: int) -> int:

@@ -2,7 +2,9 @@
 
 The monomial order used everywhere (matrix columns, term rendering,
 kernel bases) is: ascending total degree, then ascending lexicographic
-on the exponent tuple.
+on the exponent tuple.  The library passes the monomials of a question
+as one cached exponent array, :func:`monomial_table`; the tuples of
+:func:`monomials_upto` are only its public form.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .setfam import EnumerationCapError, enumeration_cap
+import numpy as np
+
+from .setfam import EnumerationCapError, _ranges, enumeration_cap
 
 Monomial = tuple[int, ...]
 Point = tuple[int, ...]
@@ -26,14 +30,13 @@ def monomial_sort_key(mono: Monomial) -> tuple[int, Monomial]:
     return (sum(mono), mono)
 
 
-@lru_cache(maxsize=None)
-def monomials_upto(n: int, m: int, cap: int) -> tuple[Monomial, ...]:
-    """All exponent vectors with entries <= cap and total degree <= m.
-
-    Returned in the global monomial order; this tuple is the column
-    index set of every evaluation matrix.  Counted first, by inclusion-
-    exclusion over the entries past cap: past the enumeration cap this
-    raises EnumerationCapError before listing anything.
+def monomial_table(n: int, m: int, cap: int) -> np.ndarray:
+    """All exponent vectors with entries <= cap and total degree <= m, one
+    row each in the global monomial order: the column index set of every
+    evaluation matrix.  Read-only, in the smallest unsigned dtype that holds
+    min(cap, m), and built once.  Counted first on every call, by
+    inclusion-exclusion over the entries past cap: past the enumeration cap
+    this raises EnumerationCapError before building anything.
     """
     if n < 1:
         raise ValueError(f"need at least one variable, got n={n}")
@@ -49,27 +52,40 @@ def monomials_upto(n: int, m: int, cap: int) -> tuple[Monomial, ...]:
     limit = enumeration_cap()
     if count > limit:
         raise EnumerationCapError(f"{count} monomials in {n} variables up to degree {m}, cap is {limit}")
-    out: list[Monomial] = []
-    for k in range(top + 1):
-        vec, i, tail = [0] * n, -1, k
-        while True:
-            # The weight `tail` goes rightmost past entry i: the smallest
-            # way to finish the vector.
-            for j in range(n - 1, i, -1):
-                vec[j] = min(cap, tail)
-                tail -= vec[j]
-            out.append(tuple(vec))
-            # The next vector of degree k raises by one the rightmost entry
-            # below cap with weight to its right, taking one unit of it.
-            i, tail = n - 1, 0
-            while i >= 0 and (vec[i] == cap or not tail):
-                tail += vec[i]
-                i -= 1
-            if i < 0:
-                break
-            vec[i] += 1
-            tail -= 1
-    return tuple(out)
+    return _build_table(n, m, cap)
+
+
+@lru_cache(maxsize=None)
+def _build_table(n: int, m: int, cap: int) -> np.ndarray:
+    """The table, built one coordinate at a time from the last.  Over
+    coordinates i..n, the rows of degree k are, for e = 0, 1, ...,
+    min(cap, k), e in front of the rows of degree k - e over coordinates
+    i+1..n: one contiguous run of the table built before."""
+    top = min(m, n * cap)
+    degree = np.arange(top + 1)
+    # Every (k, e) pair, by k, then e, with k - e at most (n - 1) * cap:
+    # its lead exponent e and the degree k - e of the rest.
+    low = np.maximum(degree - (n - 1) * cap, 0)
+    widths = np.minimum(degree, cap) - low + 1
+    starts = np.cumsum(widths) - widths
+    lead = _ranges(low, widths)
+    rest = np.repeat(degree, widths) - lead
+    table = np.arange(min(cap, top) + 1, dtype=np.min_scalar_type(min(cap, m)))[:, None]
+    counts = (degree <= cap).astype(np.int64)
+    for width in range(2, n + 1):
+        runs = counts[rest]
+        out = np.empty((runs.sum(), width), dtype=table.dtype)
+        out[:, 0] = np.repeat(lead, runs)
+        np.take(table, _ranges((np.cumsum(counts) - counts)[rest], runs), axis=0, out=out[:, 1:])
+        table, counts = out, np.add.reduceat(runs, starts)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def monomials_upto(n: int, m: int, cap: int) -> tuple[Monomial, ...]:
+    """:func:`monomial_table` as tuples of Python ints: its public form."""
+    return tuple(map(tuple, monomial_table(n, m, cap).tolist()))
 
 
 @dataclass(frozen=True)

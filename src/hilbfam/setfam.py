@@ -7,8 +7,7 @@ of the uniform and mod-q families and enforces the enumeration cap on
 them; `level_points` writes the 0/1 points of given sizes straight into
 one int64 array in that order, from counts of subsets by size, with no
 member tuple and no sort.  `family_points` joins the two, and the
-`make_*_family` constructors wrap the same members, as sorted tuples, in
-`Subset` objects.
+`make_*_family` constructors read their `Subset` objects off its rows.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -199,15 +198,6 @@ def family_sizes(n: int, d: int, q: int | None = None, cap: int | None = None) -
     return sizes
 
 
-def _members(n: int, sizes: Iterable[int]) -> list[tuple[int, ...]]:
-    """Sorted member tuples of every subset of [n] whose size is in sizes.
-    One size's combinations come in sorted order already; only merging
-    several sizes needs the sort."""
-    sizes = tuple(sizes)
-    members = [c for k in sizes for c in combinations(range(1, n + 1), k)]
-    return members if len(sizes) < 2 else sorted(members)
-
-
 def _lex_subsets(b: int) -> np.ndarray:
     """Every subset of [b] as a 0/1 int8 row, in family order: the empty
     set, the subsets that contain 1, then the other nonempty ones.  So the
@@ -304,14 +294,21 @@ def family_points(n: int, d: int, q: int | None = None, cap: int | None = None) 
     return level_points(n, family_sizes(n, d, q, cap))
 
 
+def _family(n: int, points: np.ndarray) -> SetFamily:
+    """The family whose members' 0/1 points are the rows of `points`."""
+    members = (np.nonzero(points)[1] + 1).tolist()
+    ends = points.sum(axis=1).cumsum().tolist()
+    return SetFamily(n, tuple(Subset(tuple(members[a:b])) for a, b in zip([0, *ends], ends)))
+
+
 def make_uniform_family(n: int, d: int, cap: int | None = None) -> SetFamily:
     """All d-element subsets of [n]."""
-    return SetFamily(n, tuple(map(Subset, _members(n, family_sizes(n, d, None, cap)))))
+    return _family(n, family_points(n, d, None, cap))
 
 
 def make_modq_family(n: int, d: int, q: int, cap: int | None = None) -> SetFamily:
     """All subsets of [n] whose size is congruent to d modulo q."""
-    return SetFamily(n, tuple(map(Subset, _members(n, family_sizes(n, d, q, cap)))))
+    return _family(n, family_points(n, d, q, cap))
 
 
 def format_family(family: SetFamily) -> str:

@@ -7,10 +7,11 @@ the whole space.  The basis is the canonical kernel of one elimination,
 read from its RREF without being built: a point's values on every kernel
 polynomial are one residue of its evaluation row against the RREF rows
 (see :func:`_vanishing_witness`), and HRUBES reads the constant terms
-straight off the RREF's first row.  Reports record enough dimensions to
-audit that reduction, and a FAIL always carries a witness that
-re-verifies independently (a rendered polynomial plus the point where it
-fails).
+straight off the RREF's first row.  Its columns are the question's
+monomial table (``poly.monomial_table``), which the scan indexes as it
+is.  Reports record enough dimensions to audit that reduction, and a
+FAIL always carries a witness that re-verifies independently (a rendered
+polynomial plus the point where it fails).
 """
 
 from __future__ import annotations
@@ -93,14 +94,14 @@ def _elapsed_ms(start: float) -> float:
 
 def _vanishing_witness(
     rref: Rref,
-    monomials: Sequence[tuple[int, ...]],
+    exps: np.ndarray,
     arr: np.ndarray,
     p: int,
     cap: int,
 ) -> dict[str, Any] | None:
     """First (kernel polynomial, point) pair with a nonzero value, or None,
-    for the canonical kernel of `rref` and the points `arr`, an integer
-    array reduced mod p.
+    for the canonical kernel of `rref` over the monomial table `exps` and
+    the points `arr`, an integer array reduced mod p.
 
     Scans points in their given order, in blocks sized by bytes with
     ``gflinalg.chunk_rows``: beside R, a block's evaluations and values
@@ -109,25 +110,26 @@ def _vanishing_witness(
     rows go in basis order, so the witness is deterministic.  A block's
     values on every kernel row are the residues of its evaluation rows E
     against the RREF, ``E[:, free] - E[:, pivots] @ R`` mod p
-    (:meth:`Rref.kernel_product`): a plain product, which does not trust
-    the elimination that gave R.  E is evaluated straight into
-    pivot-then-free column order, in the product's dtype.  Only the
-    witness row's polynomial is built.
+    (:meth:`Rref.kernel_product`): a plain product over every point, which
+    trusts neither the elimination that gave R nor the symmetry that spun
+    it.  E is evaluated straight into pivot-then-free column order, in the
+    product's dtype, from the table's rows in that order.  Only the witness
+    row's polynomial is built.
     """
     if not rref.free.size:
         return None
-    exps = np.array(monomials, dtype=np.int64)[np.concatenate([rref.pivots, rref.free])]
+    ordered = exps[np.concatenate([rref.pivots, rref.free])]
     dtype = product_dtype(rref.pivots.size, p)
     itemsize = np.dtype(dtype).itemsize
-    step = chunk_rows(itemsize * (exps.shape[0] + rref.free.size), rref.rows.nbytes, _SCAN_FLOOR)
+    step = chunk_rows(itemsize * (len(exps) + rref.free.size), rref.rows.nbytes, _SCAN_FLOOR)
     for start in range(0, arr.shape[0], step):
         block = arr[start : start + step]
-        values = rref.kernel_product(_eval_rows(block, exps, p, cap, dtype), p)
+        values = rref.kernel_product(_eval_rows(block, ordered, p, cap, dtype), p)
         hits = np.flatnonzero(values.any(axis=1))
         if hits.size:
             i = int(hits[0])
             j = int(np.flatnonzero(values[i])[0])
-            poly = vector_to_polynomial(rref.kernel_row(j, p), monomials, p)
+            poly = vector_to_polynomial(rref.kernel_row(j, p), exps, p)
             return {
                 "polynomial": str(poly),
                 "point": [int(v) for v in block[i]],
@@ -140,7 +142,7 @@ def _vanishing_witness(
 
 def _main_report(
     sizes: tuple[int, int], m: int, p: int, cap: int, kernel_dim: int,
-    monos: Sequence[tuple[int, ...]], h_g: int, witness: dict[str, Any] | None, wall_ms: float,
+    monos: np.ndarray, h_g: int, witness: dict[str, Any] | None, wall_ms: float,
 ) -> VerificationReport:
     """MAIN's report for |F|, |G| = sizes; the witness is dropped when h_f != h_g."""
     n_f, n_g = sizes
@@ -202,7 +204,7 @@ def _main2_params(n: int, d: int, q: int, p: int) -> dict[str, Any]:
 
 def _main2_report(
     params: dict[str, Any], sizes: tuple[int, int], kernel_dim: int,
-    monos: Sequence[tuple[int, ...]], witness: dict[str, Any] | None, wall_ms: float,
+    monos: np.ndarray, witness: dict[str, Any] | None, wall_ms: float,
 ) -> VerificationReport:
     """MAIN2's report for |uniform|, |mod-q| = sizes."""
     metrics = {

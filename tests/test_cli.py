@@ -298,6 +298,16 @@ class TestBalanceCommands:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("name, reason", [
+        ("missing.txt", "No such file or directory"),
+        ("", "Is a directory"),
+    ], ids=["missing", "directory"])
+    def test_unreadable_family_file_usage_error(self, capsys, tmp_path, name, reason):
+        path = tmp_path / name
+        code, out, err = run_cli(capsys, "balance", "check", "--L", "1", "--family", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read family file {str(path)!r}: {reason}\n"
+
 
 class TestSearchCommand:
     def test_found(self, capsys):
@@ -330,6 +340,18 @@ class TestSearchCommand:
 class TestUsage:
     def test_missing_subcommand(self, capsys):
         assert run_cli(capsys)[0] == 2
+
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 455. GiB"), "error: out of memory: Unable to allocate 455. GiB\n"),
+        (MemoryError(), "error: out of memory: allocation refused\n"),
+    ], ids=["numpy", "bare"])
+    def test_memory_error_exits_three(self, capsys, monkeypatch, error, message):
+        def refuse(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "uniform_report", refuse)
+        code, out, err = run_cli(capsys, "hilbert", "--n", "20", "--d", "10", "--p", "2", "--m", "10")
+        assert (code, out, err) == (3, "", message)
 
     def test_unknown_flag(self, capsys):
         assert run_cli(capsys, "hilbert", "--bogus", "1")[0] == 2

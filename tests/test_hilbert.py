@@ -25,7 +25,7 @@ from hilbfam.hilbert import (
     uniform_report,
     wilson_value,
 )
-from hilbfam.poly import Polynomial, evaluate, monomials_upto
+from hilbfam.poly import Polynomial, evaluate, monomial_table, monomials_upto
 from hilbfam.setfam import (
     EnumerationCapError,
     binomial,
@@ -403,6 +403,16 @@ class TestIdealTruncationBasis:
         )
         assert basis == [expected]
 
+    def test_terms_are_python_ints_from_the_nonzero_entries(self):
+        exps = monomial_table(3, 2, 2)
+        vec = np.zeros(len(exps), dtype=np.int64)
+        vec[[0, 5, 9]] = [2, 1, 2]
+        f = hilbert.vector_to_polynomial(vec, exps, 3)
+        assert f.terms == (((0, 0, 0), 2), ((0, 1, 1), 1), ((2, 0, 0), 2))
+        assert all(type(e) is int for mono, c in f.terms for e in (*mono, c))
+        for f in ideal_truncation_basis([(0, 1), (2, 2), (1, 0)], 2, 3, 2):
+            assert all(type(e) is int for mono, c in f.terms for e in (*mono, c))
+
     def test_full_cube_empty_kernel(self):
         for n in (2, 3):
             points = list(product((0, 1), repeat=n))
@@ -559,7 +569,7 @@ class TestReports:
 def levels_fed(n, d, q, m, p, spin):
     """The d-level's reducer kernel, then the whole family's echelon rows and
     kernel, with every size level fed one way, in family_rref's order."""
-    monos = monomials_upto(n, m, 1)
+    monos = monomial_table(n, m, 1)
     red = RowReducer(p, len(monos))
     hilbert._feed_family(red, n, (d,), monos, spin=spin)
     kernel = red.kernel_matrix()
@@ -582,6 +592,19 @@ class TestSpinning:
                     streamed = levels_fed(n, d, q, m, p, spin=False)
                     for a, b in zip(spun, streamed):
                         assert np.array_equal(a, b), (n, d, q, p)
+
+    @pytest.mark.parametrize("n,m,cap", [(1, 3, 1), (2, 2, 1), (3, 4, 2), (7, 3, 1), (5, 6, 4), (12, 4, 1)])
+    def test_permutations_match_a_tuple_reference(self, n, m, cap):
+        # The column index of each monomial with its exponents permuted by
+        # (1 2) and by (1 2 ... n), looked up in a dict keyed by tuples.
+        monos = monomials_upto(n, m, cap)
+        index = {mono: j for j, mono in enumerate(monos)}
+        want = [
+            [index[mono[1::-1] + mono[2:]] for mono in monos],
+            [index[mono[1:] + mono[:1]] for mono in monos],
+        ]
+        got = hilbert._spin_permutations(monomial_table(n, m, cap))
+        assert [perm.tolist() for perm in got] == want
 
     def test_streamed_path_is_the_public_kernel(self):
         for n, d, q, m, p in [(6, 3, None, 2, 3), (7, 1, 3, 3, 2), (8, 2, 4, 3, 5)]:
@@ -618,7 +641,7 @@ class TestSpinning:
     def test_rule_streams_small_or_square_levels(self, monkeypatch, n, sizes, m, spins):
         streamed = []
         monkeypatch.setattr(hilbert, "_feed_points", lambda red, arr, *rest: streamed.append(len(arr)))
-        monos = monomials_upto(n, m, 1)
+        monos = monomial_table(n, m, 1)
         red = RowReducer(2, len(monos))
         hilbert._feed_family(red, n, sizes, monos)
         assert streamed == ([] if spins else [sum(binomial(n, k) for k in sizes)])
@@ -663,7 +686,7 @@ class TestHandOver:
         alone, monos, h = family_rref(8, (2,), 3, p)
         rref, more_monos, h_more = family_rref(8, (2,), 3, p, family_sizes(8, 2, 4))
         assert h == alone.pivots.size < h_more
-        assert more_monos == monos
+        assert np.array_equal(more_monos, monos)
         assert_same_rref(rref, alone)
 
     @pytest.mark.parametrize("spin", [True, False])
@@ -675,7 +698,7 @@ class TestHandOver:
         with traced():
             got = family_rref(*args)
         assert_same_rref(got[0], want)
-        assert got[1:] == (monos, h)
+        assert np.array_equal(got[1], monos) and got[2] == h
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_nested_kernel_unchanged_by_the_points_of_g(self, p):

@@ -3,6 +3,7 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from hilbfam.poly import (
     Polynomial,
     evaluate,
     expand_affine_product,
+    monomial_table,
     monomials_upto,
     multilinear_reduce,
 )
@@ -63,8 +65,27 @@ class TestMonomialsUpto:
             rec(0, m)
             return tuple(sorted(out, key=lambda mono: (sum(mono), mono)))
 
-        for n, m, cap in product(range(1, 7), range(7), range(1, 4)):
-            assert monomials_upto(n, m, cap) == recursive(n, m, cap), (n, m, cap)
+        # Past them: cap p - 1 at p = 2^31 - 1, m past n * cap, n = 1 at m = 0.
+        extra = [(2, 3, 2_147_483_646), (3, 10, 2), (2, 9, 3), (1, 0, 1)]
+        for n, m, cap in [*product(range(1, 7), range(7), range(1, 4)), *extra]:
+            want = recursive(n, m, cap)
+            assert monomials_upto(n, m, cap) == want, (n, m, cap)
+            assert monomial_table(n, m, cap).tolist() == list(map(list, want)), (n, m, cap)
+
+    @pytest.mark.parametrize("n,m,cap,dtype", [
+        (3, 2, 1, np.uint8), (2, 3, 2_147_483_646, np.uint8), (1, 255, 300, np.uint8),
+        (1, 256, 300, np.uint16), (2, 300, 256, np.uint16), (1, 70_000, 70_000, np.uint32),
+    ])
+    def test_table_is_read_only_in_the_smallest_dtype(self, n, m, cap, dtype):
+        # The smallest unsigned dtype that holds min(cap, m).
+        table = monomial_table(n, m, cap)
+        assert table.dtype == dtype and table.shape[1] == n
+        assert int(table.max()) == min(cap, m)
+        assert monomial_table(n, m, cap) is table
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+        entries = monomials_upto(n, m, cap)[-1]
+        assert all(type(e) is int for e in entries)
 
     @pytest.mark.parametrize("n,m,cap", [(30, 3, 1), (5, 6, 2), (4, 20, 3), (7, 4, 4)])
     def test_count_checked_against_the_enumeration_cap(self, monkeypatch, n, m, cap):
@@ -76,6 +97,10 @@ class TestMonomialsUpto:
             monomials_upto(n, m, cap)
         monkeypatch.setenv(ENUMERATION_CAP_ENV, str(count))
         assert len(monomials_upto(n, m, cap)) == count
+        # The table, built once, is counted again on every call.
+        monkeypatch.setenv(ENUMERATION_CAP_ENV, str(count - 1))
+        with pytest.raises(EnumerationCapError):
+            monomial_table(n, m, cap)
 
 
 class TestEvaluate:

@@ -102,9 +102,10 @@ class TestFamilyPoints:
             for d in range(n + 1):
                 for q in (None, 2, 3, 4, 5):
                     pts = family_points(n, d, q)
-                    expected = np.array(self.constructed(n, d, q).points())
+                    expected = oracle_level_points(n, [d] if q is None else range(d % q, n + 1, q))
                     assert pts.dtype == np.int64
                     assert np.array_equal(pts, expected), (n, d, q)
+                    assert np.array_equal(np.array(self.constructed(n, d, q).points()), expected), (n, d, q)
 
     def test_modq_rows_in_lexicographic_member_order(self):
         # Sizes 0, 2 and 4 interleave: (), {1,2}, {1,2,3,4}, {1,3}, ...

@@ -22,7 +22,7 @@ from hilbfam.hilbert import (
     vector_to_polynomial,
     wilson_value,
 )
-from hilbfam.poly import monomials_upto
+from hilbfam.poly import monomial_table, monomials_upto
 from hilbfam.setfam import (
     EnumerationCapError,
     binomial,
@@ -387,7 +387,7 @@ def kernel_scan_main2(n, d, q, p):
     if values.any():
         i, j = np.argwhere(values)[0]
         witness = {
-            "polynomial": str(vector_to_polynomial(kernel[j], monos, p)),
+            "polynomial": str(vector_to_polynomial(kernel[j], np.array(monos), p)),
             "point": modq[i].tolist(),
             "value": int(values[i, j]),
         }
@@ -486,7 +486,7 @@ class TestWitnessMachinery:
         monos = ((0, 0), (0, 1), (1, 0))
         rref = Rref(np.zeros((2, 1), dtype=np.float32), np.array([1, 2]), np.array([0]))
         assert rref.kernel(2).tolist() == [[1, 0, 0]]
-        witness = _vanishing_witness(rref, monos, np.array([(0, 0), (1, 1)]), 2, 1)
+        witness = _vanishing_witness(rref, np.array(monos), np.array([(0, 0), (1, 1)]), 2, 1)
         assert witness == {"polynomial": "1", "point": [0, 0], "value": 1}
 
     @pytest.mark.parametrize("p", [3, 1009])
@@ -523,7 +523,7 @@ class TestWitnessMachinery:
         rref = Rref(rows, pivots, free)
         assert np.array_equal(rref.kernel(p), kernel)
         monkeypatch.setattr(theorems, "chunk_rows", lambda *sizes: hilbert._BLOCK_ROWS)
-        witness = _vanishing_witness(rref, monos, points, p, 1)
+        witness = _vanishing_witness(rref, monomial_table(n, m, 1), points, p, 1)
 
         expected = None
         for i, pt in enumerate(points.tolist()):
@@ -532,7 +532,7 @@ class TestWitnessMachinery:
                 value = sum(terms) % p
                 if value:
                     expected = (i, j, {
-                        "polynomial": str(vector_to_polynomial(kernel[j], monos, p)),
+                        "polynomial": str(vector_to_polynomial(kernel[j], np.array(monos), p)),
                         "point": pt,
                         "value": value,
                     })
@@ -545,7 +545,7 @@ class TestWitnessMachinery:
 
     def test_empty_kernel_has_no_witness(self):
         rref = Rref(np.zeros((3, 0), dtype=np.float32), np.arange(3), np.arange(0))
-        assert _vanishing_witness(rref, ((0, 0), (0, 1), (1, 0)), np.array([(0, 0)]), 2, 1) is None
+        assert _vanishing_witness(rref, np.array([(0, 0), (0, 1), (1, 0)]), np.array([(0, 0)]), 2, 1) is None
 
     def test_fail_witness_reverifies(self):
         # Fabricate a failing check by feeding a kernel vector that is not
