@@ -317,9 +317,10 @@ def min_balancing_size(
             f"{n_d} d-subsets, coverage bitmaps of {pool_size} candidates in "
             f"{words} 64-bit words; cap is {enumeration_cap()}"
         )
-    # One 0/1 row per candidate, in sorted Subset order.
+    # One uint8 0/1 row per candidate, in sorted Subset order, the form
+    # level_points makes; _intersection_counts reads it in float32.
     points = (level_points(n, range(1, n)) if candidates is None
-              else np.array([char_vector(g, n) for g in pool], dtype=np.int64))
+              else np.array([char_vector(g, n) for g in pool], dtype=np.uint8))
     packed = _coverage_bitmaps(points, n, targets)
     bitmaps = [int.from_bytes(row.tobytes(), "little") for row in packed]
     full = (1 << n_d) - 1

@@ -309,10 +309,13 @@ class RowReducer:
     [-2^21, 2^21), where float32 and :func:`_mod` are exact.  Otherwise
     it is int64.
 
-    A caller that knows how many rows it will feed passes that count as
-    `rows`: the store is then allocated once, for min(rows, cols) rows of
-    `cols` entries, more than R ever needs.  Otherwise it doubles as it
-    fills.
+    The used prefix stays within what R can reach: with r rows before a
+    block and k new ones, ``r (cols - r) + k (cols - r - k)`` entries, at
+    most (r + k) cols - 3 (r + k)^2 / 4, which is at most cols^2 / 3.  A
+    caller that knows how many rows it will feed passes that count as
+    `rows`: the store is then allocated once, for the smaller of `rows`
+    rows of `cols` entries and ``cols^2 // 3 + cols`` entries.  Otherwise
+    it doubles as it fills, up to that same reach.
     """
 
     def __init__(self, p: int, cols: int, rows: int = 0):
@@ -333,7 +336,8 @@ class RowReducer:
         # The store in the working dtype, the pivot column of each row in
         # join order, and the free columns, ascending.
         dtype = np.float32 if bound < _FLOAT32_EXACT_LIMIT else np.int64
-        self._store = np.zeros(min(rows, cols) * cols, dtype=dtype)
+        self._reach = cols * cols // 3 + cols
+        self._store = np.zeros(min(rows * cols, self._reach), dtype=dtype)
         self._pivots = np.zeros(0, dtype=np.intp)
         self._free = np.arange(cols)
         # Set once an Rref may view the store, which must then never be
@@ -407,10 +411,11 @@ class RowReducer:
         return self._view(0, self.rank, width, width)
 
     def _reserve(self, size: int, used: int) -> None:
-        """Make the store hold `size` entries, keeping its first `used`."""
+        """Make the store hold `size` entries, keeping its first `used`:
+        at least 64 rows, and twice what it held, up to R's reach."""
         if size > self._store.size:
-            rows = min(max(64, 2 * self._store.size // self.cols, -(-size // self.cols)), self.cols)
-            fresh = np.zeros(rows * self.cols, dtype=self._store.dtype)
+            entries = min(max(64 * self.cols, 2 * self._store.size, size), self._reach)
+            fresh = np.zeros(entries, dtype=self._store.dtype)
             fresh[:used] = self._store[:used]
             self._store = fresh
             self._handed = False

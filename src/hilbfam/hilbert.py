@@ -87,10 +87,12 @@ def _eval_rows(arr: np.ndarray, exps: np.ndarray, p: int, cap: int, dtype=None) 
     At cap 1, a float32 product counts the monomial's variables that are 0
     at the point (exact: counts are at most n); the value is count == 0,
     written as bool, or as 0/1 into `dtype`.  The points' 1 - x and their
-    counts are made one chunk of points at a time (see
+    counts are made in float32 one chunk of points at a time (see
     ``gflinalg.chunk_rows``), so beside the output they take at most one
-    chunk, and a float32 output holds its own counts.  At cap p-1, one
-    gather-multiply mod p per variable, returned as int64 or `dtype`."""
+    chunk, a float32 output holds its own counts, and the points may come
+    in any integer dtype: the uint8 arrays of ``setfam.level_points`` are
+    read as they are.  At cap p-1, one gather-multiply mod p per variable
+    in int64, returned as int64 or `dtype`."""
     rows, n = arr.shape
     if cap == 1:
         out = np.empty((rows, exps.shape[0]), dtype=dtype or np.bool_)
@@ -169,7 +171,7 @@ def _feed_family(
     # Row of the permuted point at monomial u = row of the point at u with
     # its exponents permuted back.
     perms = _spin_permutations(exps)
-    seeds = (np.arange(n) < np.array(sizes)[:, None]).astype(np.int64)
+    seeds = (np.arange(n) < np.array(sizes)[:, None]).astype(np.uint8)
     done = red.rank
     red.add_rows(_eval_rows(seeds, exps, red.p, 1))
     while done < red.rank:

@@ -16,6 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .gflinalg import chunk_rows
 from .setfam import EnumerationCapError, _ranges, enumeration_cap
 
 Monomial = tuple[int, ...]
@@ -60,7 +61,12 @@ def _build_table(n: int, m: int, cap: int) -> np.ndarray:
     """The table, built one coordinate at a time from the last.  Over
     coordinates i..n, the rows of degree k are, for e = 0, 1, ...,
     min(cap, k), e in front of the rows of degree k - e over coordinates
-    i+1..n: one contiguous run of the table built before."""
+    i+1..n: one contiguous run of the table over those.  Each coordinate
+    keeps only its rows' lead exponents e and their rows in the table
+    before; the columns are filled once at the end, following those rows
+    from the first coordinate to the last, in n gathers of the final row
+    count, a chunk of rows at a time (``gflinalg.chunk_rows``) so that the
+    column writes stay in cache."""
     top = min(m, n * cap)
     degree = np.arange(top + 1)
     # Every (k, e) pair, by k, then e, with k - e at most (n - 1) * cap:
@@ -68,16 +74,27 @@ def _build_table(n: int, m: int, cap: int) -> np.ndarray:
     low = np.maximum(degree - (n - 1) * cap, 0)
     widths = np.minimum(degree, cap) - low + 1
     starts = np.cumsum(widths) - widths
+    dtype = np.min_scalar_type(min(cap, m))
     lead = _ranges(low, widths)
     rest = np.repeat(degree, widths) - lead
-    table = np.arange(min(cap, top) + 1, dtype=np.min_scalar_type(min(cap, m)))[:, None]
+    lead = lead.astype(dtype)
+    levels = []
     counts = (degree <= cap).astype(np.int64)
-    for width in range(2, n + 1):
+    for _ in range(1, n):
         runs = counts[rest]
-        out = np.empty((runs.sum(), width), dtype=table.dtype)
-        out[:, 0] = np.repeat(lead, runs)
-        np.take(table, _ranges((np.cumsum(counts) - counts)[rest], runs), axis=0, out=out[:, 1:])
-        table, counts = out, np.add.reduceat(runs, starts)
+        levels.append((np.repeat(lead, runs), _ranges((np.cumsum(counts) - counts)[rest], runs)))
+        counts = np.add.reduceat(runs, starts)
+    levels.reverse()
+    table = np.empty((int(counts.sum()), n), dtype=dtype)
+    step = chunk_rows(n)
+    for start in range(0, len(table), step):
+        part = table[start : start + step]
+        row = np.arange(start, start + len(part))
+        for j, (leads, parents) in enumerate(levels):
+            part[:, j] = leads[row]
+            row = parents[row]
+        # The rows over the last coordinate alone are its exponents 0, 1, ...
+        part[:, n - 1] = row
     table.flags.writeable = False
     return table
 

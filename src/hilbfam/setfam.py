@@ -5,9 +5,12 @@ member tuples) so that every downstream matrix, kernel basis and report
 is reproducible byte for byte.  `family_sizes` names the member sizes
 of the uniform and mod-q families and enforces the enumeration cap on
 them; `level_points` writes the 0/1 points of given sizes straight into
-one int64 array in that order, from counts of subsets by size, with no
-member tuple and no sort.  `family_points` joins the two, and the
-`make_*_family` constructors read their `Subset` objects off its rows.
+one uint8 array in that order, one byte per coordinate, from counts of
+subsets by size, with no member tuple and no sort.  `family_points` joins
+the two, and the `make_*_family` constructors read their `Subset` objects
+off its rows.  No consumer in the library does arithmetic in the points'
+own dtype; a caller that does (a row sum past 255, a product, 1 - x) must
+cast to a wide dtype first.
 """
 
 from __future__ import annotations
@@ -225,7 +228,8 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 def level_points(n: int, sizes: Iterable[int]) -> np.ndarray:
     """0/1 points of every subset of [n] whose size is in sizes, in family
-    order: one int64 row per subset.  Unlike family_points, no cap check.
+    order: one uint8 row per subset; cast before arithmetic that can pass
+    255 or go below 0.  Unlike family_points, no cap check.
 
     Family order lists the block of a set P -- P and every member whose
     member tuple starts with P's -- as P, if its size is wanted, then the
@@ -243,7 +247,7 @@ def level_points(n: int, sizes: Iterable[int]) -> np.ndarray:
         raise ValueError(f"sizes must be nonnegative, got {sizes[0]}")
     sizes = [k for k in sizes if k <= n]
     total = sum(math.comb(n, k) for k in sizes)
-    out = np.zeros((total, n), dtype=np.int64)
+    out = np.zeros((total, n), dtype=np.uint8)
     b = min(n, _TAIL_BITS)
     head = n - b
     first = len(_TAIL) + 1 - 2**b
@@ -290,14 +294,15 @@ def level_points(n: int, sizes: Iterable[int]) -> np.ndarray:
 
 def family_points(n: int, d: int, q: int | None = None, cap: int | None = None) -> np.ndarray:
     """0/1 points of make_uniform_family(n, d) when q is None, else of
-    make_modq_family(n, d, q), in family order: one int64 row per member."""
+    make_modq_family(n, d, q), in family order: one uint8 row per member,
+    as :func:`level_points` makes them."""
     return level_points(n, family_sizes(n, d, q, cap))
 
 
 def _family(n: int, points: np.ndarray) -> SetFamily:
     """The family whose members' 0/1 points are the rows of `points`."""
     members = (np.nonzero(points)[1] + 1).tolist()
-    ends = points.sum(axis=1).cumsum().tolist()
+    ends = points.sum(axis=1, dtype=np.int64).cumsum().tolist()
     return SetFamily(n, tuple(Subset(tuple(members[a:b])) for a, b in zip([0, *ends], ends)))
 
 

@@ -101,7 +101,10 @@ def _vanishing_witness(
 ) -> dict[str, Any] | None:
     """First (kernel polynomial, point) pair with a nonzero value, or None,
     for the canonical kernel of `rref` over the monomial table `exps` and
-    the points `arr`, an integer array reduced mod p.
+    the points `arr`, an integer array reduced mod p: at cap 1, the uint8
+    0/1 rows of ``setfam.family_points`` as they are, which ``_eval_rows``
+    reads a chunk at a time in float32.  The witness point is made of
+    Python ints.
 
     Scans points in their given order, in blocks sized by bytes with
     ``gflinalg.chunk_rows``: beside R, a block's evaluations and values

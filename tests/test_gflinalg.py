@@ -21,7 +21,7 @@ from hilbfam.gflinalg import (
     matmul_mod,
     rank_mod_p,
 )
-from hilbfam.hilbert import _BLOCK_ROWS, hilbert_value
+from hilbfam.hilbert import _BLOCK_ROWS, family_rref, hilbert_value
 from hilbfam.setfam import binomial, level_points, make_uniform_family
 
 
@@ -383,7 +383,8 @@ class ArrivalReference:
 def inclusion_matrix(n, t, k):
     """W_{t,k}(n): one row per k-subset K of [n] and one column per
     t-subset T, in combinations order, with 1 where T is inside K."""
-    return ((1 - level_points(n, [k])) @ level_points(n, [t]).T == 0).astype(np.int64)
+    k_sets, t_sets = (level_points(n, [s]).astype(np.int64) for s in (k, t))
+    return ((1 - k_sets) @ t_sets.T == 0).astype(np.int64)
 
 
 def wilson_p_rank(n, t, k, p):
@@ -948,3 +949,64 @@ class TestRStore:
         assert np.shares_memory(handed.rows, again.rows)
         assert after.pivots.size == handed.pivots.size + 2
         assert not np.shares_memory(after.rows, handed.rows)
+
+
+@pytest.fixture
+def reserve_requests(monkeypatch):
+    """Every RowReducer made while patched, with its store's size when it
+    was made; each records the sizes its `_reserve` calls ask for."""
+    made = []
+    init, reserve = RowReducer.__init__, RowReducer._reserve
+
+    def recording_init(self, *args):
+        init(self, *args)
+        self.requests = []
+        made.append((self, self._store.size))
+
+    def recording_reserve(self, size, used):
+        self.requests.append(size)
+        reserve(self, size, used)
+
+    monkeypatch.setattr(RowReducer, "__init__", recording_init)
+    monkeypatch.setattr(RowReducer, "_reserve", recording_reserve)
+    return made
+
+
+class TestStoreReach:
+    """The store's used prefix never passes r * cols - 3 r^2 / 4 entries
+    at rank r, at most cols^2 / 3.  A reducer told its row count reserves
+    min(rows * cols, cols^2 // 3 + cols) entries, and no request it makes
+    asks for more; one that is not doubles up to that same reach."""
+
+    @staticmethod
+    def reach(cols):
+        return cols * cols // 3 + cols
+
+    @pytest.mark.parametrize("block", [1, 37, 1000])
+    @pytest.mark.parametrize("p", [2, 3, 101])
+    @pytest.mark.parametrize("kind", ["random", "low-rank", "repeated"])
+    def test_random_feeds(self, reserve_requests, kind, p, block):
+        data = multi_panel_matrix(kind, p, seed=p)
+        rows, cols = data.shape
+        hinted, doubling = RowReducer(p, cols, rows), RowReducer(p, cols)
+        for start in range(0, rows, block):
+            hinted.add_rows(data[start : start + block])
+            doubling.add_rows(data[start : start + block])
+        assert hinted.rank == doubling.rank == rank_mod_p(FpMatrix(p, data))
+        (_, reserved), (_, empty) = reserve_requests[:2]
+        assert (reserved, empty) == (min(rows * cols, self.reach(cols)), 0)
+        assert hinted.requests and max(hinted.requests) <= reserved
+        assert max(doubling.requests) <= cols * cols / 3
+        assert doubling._store.size <= self.reach(cols)
+
+    @pytest.mark.parametrize("n, sizes, m, p, more", [
+        (13, (6,), 4, 5, ()),          # streamed
+        (14, (7,), 2, 3, ()),          # spun
+        (10, (5,), 3, 2, (1, 3, 7, 9)),  # more rows after the hand-over
+    ])
+    def test_family_rref(self, reserve_requests, n, sizes, m, p, more):
+        _, exps, _ = family_rref(n, sizes, m, p, more)
+        [(red, reserved)] = reserve_requests
+        rows, cols = sum(binomial(n, k) for k in {*sizes, *more}), len(exps)
+        assert reserved == min(rows * cols, self.reach(cols))
+        assert red.requests and max(red.requests) <= min(reserved, cols * cols / 3)

@@ -10,11 +10,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hilbfam.balancing import _intersection_counts
+from hilbfam.hilbert import _eval_rows, family_rref, hilbert_value
+from hilbfam.poly import monomial_table
 from hilbfam.setfam import (
     EnumerationCapError,
     Params,
     SetFamily,
     Subset,
+    _family,
     binomial,
     char_vector,
     family_points,
@@ -103,7 +107,7 @@ class TestFamilyPoints:
                 for q in (None, 2, 3, 4, 5):
                     pts = family_points(n, d, q)
                     expected = oracle_level_points(n, [d] if q is None else range(d % q, n + 1, q))
-                    assert pts.dtype == np.int64
+                    assert pts.dtype == np.uint8
                     assert np.array_equal(pts, expected), (n, d, q)
                     assert np.array_equal(np.array(self.constructed(n, d, q).points()), expected), (n, d, q)
 
@@ -155,7 +159,7 @@ class TestLevelPoints:
     @staticmethod
     def check(n, sizes):
         got = level_points(n, sizes)
-        assert got.dtype == np.int64
+        assert got.dtype == np.uint8
         assert np.array_equal(got, oracle_level_points(n, sizes)), (n, sizes)
 
     def test_every_set_of_sizes_up_to_n9(self):
@@ -198,6 +202,41 @@ class TestLevelPoints:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * out.nbytes
+
+
+class TestUint8Points:
+    """The uint8 points of level_points over n >= 256 coordinates, where a
+    row sum or a count in their own dtype would wrap: every consumer
+    answers as it does for the same points in int64."""
+
+    n = 300
+    wide = level_points(n, [n - 1])
+    as_int64 = wide.astype(np.int64)
+
+    def test_family_members(self):
+        assert self.wide.dtype == np.uint8
+        family = _family(self.n, self.wide)
+        assert family == _family(self.n, self.as_int64)
+        everything = tuple(range(1, self.n + 1))
+        want = [everything[:i] + everything[i + 1 :] for i in range(self.n)]
+        assert sorted(s.members for s in family.sets) == sorted(want)
+
+    def test_cap1_evaluation_and_hilbert_value(self):
+        exps = monomial_table(self.n, 1, 1)
+        assert np.array_equal(_eval_rows(self.wide, exps, 2, 1), _eval_rows(self.as_int64, exps, 2, 1))
+        # The 300 points are affinely independent, so h(1) is 300.
+        h = hilbert_value(self.as_int64, 1, 2, 1)
+        assert h == hilbert_value(self.wide, 1, 2, 1) == family_rref(self.n, (self.n - 1,), 1, 2)[2] == 300
+
+    @pytest.mark.parametrize("k", [1, 299])
+    def test_balancing_counts(self, k):
+        got = list(_intersection_counts(self.n, k, self.wide))
+        want = list(_intersection_counts(self.n, k, self.as_int64))
+        assert len(got) == len(want)
+        for (idx, counts), (idx_want, counts_want) in zip(got, want):
+            assert np.array_equal(idx, idx_want) and np.array_equal(counts, counts_want)
+        # |g & S| of a 299-set g and a 299-set S is 298 or 299.
+        assert got[-1][1].max() == min(k, self.n - 1)
 
 
 class TestCharVector:

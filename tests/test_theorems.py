@@ -461,7 +461,7 @@ class TestWorkingSet:
         # touched), the bool rows of the one streamed block, one chunk and
         # the temporaries of a few panels; a float32 copy of the whole
         # block would not fit in what is left.
-        store = min(points, cols) * cols * 4
+        store = min(points * cols, cols * cols // 3 + cols) * 4
         panels = 6 * gflinalg._PANEL * cols * 4
         bound = store + points * cols + gflinalg._CHUNK_BYTES + panels
         assert peak <= bound < peak + points * cols * 4
@@ -474,6 +474,13 @@ class TestWorkingSet:
         # Float32 evaluations of all 1807 points would not fit.
         bound = rref.rows.nbytes + gflinalg._CHUNK_BYTES
         assert peak <= bound < peak + modq.shape[0] * len(monos) * 4
+
+    def test_wide_mod2_family(self):
+        # The 65 536 points of the mod-2 family over [17], one byte per
+        # coordinate (1.1 MB); as int64 they took 8.9 MB.
+        report, peak = traced_peak(lambda: verify_main2(17, 8, 2, 2))
+        assert report.status == "PASS" and report.metrics["points_modq"] == 2**16
+        assert peak < 5 * 2**20
 
 
 class TestWitnessMachinery:
