@@ -52,16 +52,22 @@ import numpy as np
 
 from .gflinalg import Rref, RowReducer, chunk_rows
 from .poly import Monomial, Point, Polynomial, monomial_table, monomials_upto
-from .setfam import Params, binomial, family_sizes, is_power_of, is_prime, level_points
+from .setfam import Params, binomial, family_sizes, is_power_of, is_prime, level_points, level_seeds
 
 _BLOCK_ROWS = 2048
 
 
-def _points_array(points: Sequence[Point] | np.ndarray, p: int) -> np.ndarray:
+def _points_array(points: Sequence[Point] | np.ndarray, p: int, cap: int) -> np.ndarray:
+    """The points as one array in 0..p-1, checked for shape, integer
+    coordinates and the exponent cap (1 or p-1; 0/1 points at cap 1).  An
+    integer array already in 0..p-1, such as ``setfam.level_points`` makes
+    or this function returns, is kept as it is; any other is converted to
+    int64 and reduced mod p."""
     try:
         raw = np.asarray(points)
+        reduced = raw.dtype.kind in "biu" and raw.size and raw.min() >= 0 and raw.max() < p
         with np.errstate(invalid="ignore"):
-            arr = raw.astype(np.int64, copy=False)
+            arr = raw if reduced else raw.astype(np.int64, copy=False)
     except ValueError as exc:
         raise ValueError("points have inconsistent dimensions") from exc
     if arr is not raw and not np.array_equal(arr, raw):
@@ -70,14 +76,13 @@ def _points_array(points: Sequence[Point] | np.ndarray, p: int) -> np.ndarray:
         raise ValueError("need at least one point")
     if not arr.shape[1]:
         raise ValueError("points must have at least one coordinate")
-    return arr % p
-
-
-def _validate_cap(arr: np.ndarray, p: int, cap: int) -> None:
     if cap not in (1, p - 1) or cap < 1:
         raise ValueError(f"exponent cap must be 1 or p-1, got {cap} for p={p}")
-    if cap == 1 and arr.size and int(arr.max()) > 1:
+    if not reduced:
+        arr = arr % p
+    if cap == 1 and int(arr.max()) > 1:
         raise ValueError("exponent cap 1 requires 0/1-valued points")
+    return arr
 
 
 def _eval_rows(arr: np.ndarray, exps: np.ndarray, p: int, cap: int, dtype=None) -> np.ndarray:
@@ -171,9 +176,8 @@ def _feed_family(
     # Row of the permuted point at monomial u = row of the point at u with
     # its exponents permuted back.
     perms = _spin_permutations(exps)
-    seeds = (np.arange(n) < np.array(sizes)[:, None]).astype(np.uint8)
     done = red.rank
-    red.add_rows(_eval_rows(seeds, exps, red.p, 1))
+    red.add_rows(_eval_rows(level_seeds(n, sizes), exps, red.p, 1))
     while done < red.rank:
         stop = min(done + _BLOCK_ROWS // 2, red.rank)
         red.add_basis_images(done, stop, perms)
@@ -185,8 +189,7 @@ def _reduce_points(
 ) -> tuple[RowReducer, np.ndarray]:
     """A reducer fed every point's row, with its basis allocated for `rows`
     rows (default: the points), and its monomial table."""
-    arr = _points_array(points, p)
-    _validate_cap(arr, p, cap)
+    arr = _points_array(points, p, cap)
     exps = monomial_table(arr.shape[1], m, cap)
     red = RowReducer(p, len(exps), len(arr) if rows is None else rows)
     _feed_points(red, arr, exps, p, cap)
@@ -218,10 +221,9 @@ def _next_degree(standard: np.ndarray, cap: int) -> np.ndarray:
 
 def hilbert_series(points: Sequence[Point], p: int, cap: int) -> tuple[int, ...]:
     """Values h(0), h(1), ... up to and including the first m with h(m) = |points|."""
-    arr = _points_array(points, p)
+    arr = _points_array(points, p, cap)
     if len(np.unique(arr, axis=0)) != len(arr):
         raise ValueError("points must be distinct for a Hilbert series")
-    _validate_cap(arr, p, cap)
     red = RowReducer(p, len(arr))
     values = []
     exps = np.zeros((1, arr.shape[1]), dtype=np.int64)
@@ -245,7 +247,7 @@ def kernel_matrix(points: Sequence[Point], m: int, p: int, cap: int) -> tuple[np
 
 
 def _rows_in(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Mask of the rows of `a` that are rows of `b`, for nonnegative int64
+    """Mask of the rows of `a` that are rows of `b`, for nonnegative integer
     arrays of one width, by their :func:`_row_keys`, looked up in b's."""
     keys = _row_keys(a, np.int64)
     table = np.sort(_row_keys(b, np.int64))
@@ -264,9 +266,9 @@ def nested_kernel(
     reducer after its RREF is taken.  G is validated as a whole, and F
     must be contained in G.
     """
-    arr_g = _points_array(points_g, p)
-    _validate_cap(arr_g, p, cap)
-    arr_f = _points_array(points_f, p)
+    arr_g = _points_array(points_g, p, cap)
+    # Cap p - 1 checks no values: F's follow from G's once F is inside G.
+    arr_f = _points_array(points_f, p, p - 1)
     if arr_f.shape[1] != arr_g.shape[1] or not _rows_in(arr_f, arr_g).all():
         raise ValueError("the first point set must be contained in the second")
     # F is inside G, so G's points bound the rank.

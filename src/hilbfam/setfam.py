@@ -8,9 +8,10 @@ them; `level_points` writes the 0/1 points of given sizes straight into
 one uint8 array in that order, one byte per coordinate, from counts of
 subsets by size, with no member tuple and no sort.  `family_points` joins
 the two, and the `make_*_family` constructors read their `Subset` objects
-off its rows.  No consumer in the library does arithmetic in the points'
-own dtype; a caller that does (a row sum past 255, a product, 1 - x) must
-cast to a wide dtype first.
+off its rows; `level_seeds` writes only each level's first point, {1..k}.
+No consumer in the library does arithmetic in the points' own dtype; a
+caller that does (a row sum past 255, a product, 1 - x) must cast to a
+wide dtype first.
 """
 
 from __future__ import annotations
@@ -290,6 +291,12 @@ def level_points(n: int, sizes: Iterable[int]) -> np.ndarray:
         rows = (ends - len(last))[:, None] + np.arange(len(last))
         out[rows.reshape(-1), head:] = np.tile(last, (len(ends), 1))
     return out
+
+
+def level_seeds(n: int, sizes: Iterable[int]) -> np.ndarray:
+    """The uint8 0/1 point of {1..k} for each k in sizes, ascending: each
+    level's first point in family order, before every point of a larger one."""
+    return (np.arange(n) < np.array(sorted(sizes))[:, None]).astype(np.uint8)
 
 
 def family_points(n: int, d: int, q: int | None = None, cap: int | None = None) -> np.ndarray:

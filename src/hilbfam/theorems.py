@@ -12,6 +12,13 @@ monomial table (``poly.monomial_table``), which the scan indexes as it
 is.  Reports record enough dimensions to audit that reduction, and a
 FAIL always carries a witness that re-verifies independently (a rendered
 polynomial plus the point where it fails).
+
+MAIN2, the MAIN/MAIN2 pair and HLEMMA scan one point per level they check,
+its first, {1..k} (``setfam.level_seeds``).  Their kernel is that of whole
+levels, each one S_n-orbit, so it is closed under permuting coordinates: a
+level fails exactly where its first point does, and {1..k} comes before
+every point of a larger level in family order.  So the witness is the one a
+scan of every point gives, as the tests audit.
 """
 
 from __future__ import annotations
@@ -37,10 +44,10 @@ from .setfam import (
     EnumerationCapError,
     binomial,
     enumeration_cap,
-    family_points,
     family_sizes,
     is_power_of,
     is_prime,
+    level_seeds,
 )
 
 PASS = "PASS"
@@ -101,10 +108,10 @@ def _vanishing_witness(
 ) -> dict[str, Any] | None:
     """First (kernel polynomial, point) pair with a nonzero value, or None,
     for the canonical kernel of `rref` over the monomial table `exps` and
-    the points `arr`, an integer array reduced mod p: at cap 1, the uint8
-    0/1 rows of ``setfam.family_points`` as they are, which ``_eval_rows``
-    reads a chunk at a time in float32.  The witness point is made of
-    Python ints.
+    the points `arr`, an integer array reduced mod p: at cap 1, uint8 0/1
+    rows such as ``setfam.level_seeds`` makes, as they are, which
+    ``_eval_rows`` reads a chunk at a time in float32.  The witness point
+    is made of Python ints.
 
     Scans points in their given order, in blocks sized by bytes with
     ``gflinalg.chunk_rows``: beside R, a block's evaluations and values
@@ -113,11 +120,11 @@ def _vanishing_witness(
     rows go in basis order, so the witness is deterministic.  A block's
     values on every kernel row are the residues of its evaluation rows E
     against the RREF, ``E[:, free] - E[:, pivots] @ R`` mod p
-    (:meth:`Rref.kernel_product`): a plain product over every point, which
-    trusts neither the elimination that gave R nor the symmetry that spun
-    it.  E is evaluated straight into pivot-then-free column order, in the
-    product's dtype, from the table's rows in that order.  Only the witness
-    row's polynomial is built.
+    (:meth:`Rref.kernel_product`): a plain product over every point given,
+    which does not trust the elimination that gave R.  E is evaluated
+    straight into pivot-then-free column order, in the product's dtype,
+    from the table's rows in that order.  Only the witness row's
+    polynomial is built.
     """
     if not rref.free.size:
         return None
@@ -186,10 +193,11 @@ def verify_ideal_truncation_equality(
     values mean the hypothesis fails: NOT_APPLICABLE.
     """
     start = time.perf_counter()
-    rref, monos, h_g = nested_kernel(points_f, points_g, m, p, cap)
+    arr_g = _points_array(points_g, p, cap)
+    rref, monos, h_g = nested_kernel(points_f, arr_g, m, p, cap)
     witness = None
     if len(monos) - rref.free.size == h_g:
-        witness = _vanishing_witness(rref, monos, _points_array(points_g, p), p, cap)
+        witness = _vanishing_witness(rref, monos, arr_g, p, cap)
     sizes = (len(points_f), len(points_g))
     return _main_report(sizes, m, p, cap, rref.free.size, monos, h_g, witness, _elapsed_ms(start))
 
@@ -241,10 +249,10 @@ def verify_main2(n: int, d: int, q: int, p: int, force: bool = False) -> Verific
             metrics={"reason": "d outside q-1..n-q+1"},
             wall_time_ms=_elapsed_ms(start),
         )
-    rref, monos, _ = family_rref(n, family_sizes(n, d), q - 1, p)
-    modq = family_points(n, d, q)
-    witness = _vanishing_witness(rref, monos, modq, p, 1)
-    sizes = (binomial(n, d), len(modq))
+    uniform, modq = family_sizes(n, d), family_sizes(n, d, q)
+    rref, monos, _ = family_rref(n, uniform, q - 1, p)
+    witness = _vanishing_witness(rref, monos, level_seeds(n, modq), p, 1)
+    sizes = (binomial(n, d), sum(binomial(n, k) for k in modq))
     return _main2_report(params, sizes, rref.free.size, monos, witness, _elapsed_ms(start))
 
 
@@ -254,14 +262,16 @@ def verify_main_pair(n: int, d: int, q: int, p: int) -> tuple[VerificationReport
 
     Equal to ``verify_ideal_truncation_equality`` and ``verify_main2`` with
     force=True on the same inputs, but with one nested elimination and one
-    witness scan of the mod-q points; both reports carry the pair's wall time.
+    witness scan of the mod-q levels' first points; both reports carry the
+    pair's wall time.
     """
     start = time.perf_counter()
     params = _main2_params(n, d, q, p)
-    rref, monos, h_g = family_rref(n, family_sizes(n, d), q - 1, p, family_sizes(n, d, q))
-    modq = family_points(n, d, q)
-    witness = _vanishing_witness(rref, monos, modq, p, 1)
-    sizes = (binomial(n, d), len(modq))
+    # The uniform family first, so that a refusal at the cap names its count.
+    uniform, modq = family_sizes(n, d), family_sizes(n, d, q)
+    rref, monos, h_g = family_rref(n, uniform, q - 1, p, modq)
+    witness = _vanishing_witness(rref, monos, level_seeds(n, modq), p, 1)
+    sizes = (binomial(n, d), sum(binomial(n, k) for k in modq))
     wall_ms = _elapsed_ms(start)
     return (
         _main_report(sizes, q - 1, p, 1, rref.free.size, monos, h_g, witness, wall_ms),
@@ -312,12 +322,12 @@ def verify_hlemma(p: int) -> VerificationReport:
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     rref, monos, _ = family_rref(4 * p, family_sizes(4 * p, 2 * p), p - 1, p)
-    upper = family_points(4 * p, 3 * p)
-    witness = _vanishing_witness(rref, monos, upper, p, 1)
+    upper = family_sizes(4 * p, 3 * p)
+    witness = _vanishing_witness(rref, monos, level_seeds(4 * p, upper), p, 1)
     params = {"p": p, "n": 4 * p, "d_lower": 2 * p, "d_upper": 3 * p, "degree_bound": p - 1}
     metrics = {
         "points_lower": binomial(4 * p, 2 * p),
-        "points_upper": len(upper),
+        "points_upper": binomial(4 * p, 3 * p),
         "monomials": len(monos),
         "h": len(monos) - rref.free.size,
         "kernel_dim": rref.free.size,

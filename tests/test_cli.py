@@ -14,7 +14,7 @@ import pytest
 from hilbfam import cli, theorems
 from hilbfam.balancing import BalancingInstance, check_lower_bound, min_balancing_size
 from hilbfam.cli import main
-from hilbfam.gflinalg import RowReducer
+from hilbfam.gflinalg import Rref
 from hilbfam.hilbert import hilbert_series, ideal_truncation_basis, modq_report
 from hilbfam.poly import monomials_upto
 from hilbfam.setfam import SetFamily, Subset, family_points, format_family, make_uniform_family
@@ -449,8 +449,8 @@ class TestVerifyAllSharing:
         with mock.patch.object(theorems, "family_rref", family), \
                 mock.patch.object(theorems, "nested_kernel", nested), \
                 mock.patch.object(theorems, "kernel_matrix", plain), \
-                mock.patch.object(RowReducer, "kernel_matrix", autospec=True,
-                                  side_effect=RowReducer.kernel_matrix) as canonical:
+                mock.patch.object(Rref, "kernel", autospec=True,
+                                  side_effect=Rref.kernel) as canonical:
             reports = cli._batch_reports(3, 8)
         claims = Counter(r.claim for r in reports)
         assert claims["MAIN"] == claims["MAIN2"] > 0

@@ -344,6 +344,13 @@ class TestArrayInput:
         with pytest.raises(ValueError, match="at least one coordinate"):
             hilbert_value(np.zeros((2, 0), dtype=np.int64), 1, 2, 1)
 
+    def test_reduced_arrays_kept_and_others_reduced(self):
+        points = family_points(6, 3, 2)
+        for arr in (points, points.astype(bool), points.astype(np.int64)):
+            assert hilbert._points_array(arr, 3, 1) is arr
+        assert hilbert._points_array(np.array([[0, 4], [-2, 1]]), 3, 2).tolist() == [[0, 1], [1, 1]]
+        assert hilbert._points_array(np.array([[0, 3]], dtype=np.uint8), 3, 1).tolist() == [[0, 0]]
+
     def test_series_rejects_rows_equal_mod_p(self):
         with pytest.raises(ValueError, match="distinct"):
             hilbert_series(np.array([[0, 1], [1, 0], [0, 1]]), 2, 1)

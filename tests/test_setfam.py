@@ -25,6 +25,7 @@ from hilbfam.setfam import (
     format_family,
     is_prime,
     level_points,
+    level_seeds,
     make_modq_family,
     make_uniform_family,
     parse_family,
@@ -155,6 +156,14 @@ def oracle_level_points(n, sizes):
 
 class TestLevelPoints:
     """The prefix enumeration against the member-tuple oracle."""
+
+    @pytest.mark.parametrize("n, sizes", [(1, (0, 1)), (5, (1, 3)), (13, (0, 2, 7, 13))])
+    def test_seeds_are_the_familys_first_rows(self, n, sizes):
+        # Only the prefixes of {1..k} come before it in family order, so the
+        # seeds lead the family, each before every point of a larger level.
+        seeds = level_seeds(n, reversed(sizes))
+        assert seeds.dtype == np.uint8
+        assert np.array_equal(seeds, level_points(n, sizes)[: len(sizes)])
 
     @staticmethod
     def check(n, sizes):

@@ -27,6 +27,7 @@ from hilbfam.setfam import (
     EnumerationCapError,
     binomial,
     family_points,
+    family_sizes,
     make_modq_family,
     make_uniform_family,
 )
@@ -233,6 +234,13 @@ class TestMainPair:
         assert main2.as_dict() == verify_main2(n, d, q, p, force=True).as_dict()
         assert main2.status == NOT_APPLICABLE
 
+    @pytest.mark.parametrize("cap, count", [(10_000, 12870), (20_000, 32768)])
+    def test_cap_refusal_names_the_uniform_family_first(self, monkeypatch, cap, count):
+        monkeypatch.setenv("HILBFAM_ENUM_CAP", str(cap))
+        for run in (verify_main2, verify_main_pair):
+            with pytest.raises(EnumerationCapError, match=f"contain {count} sets"):
+                run(16, 8, 2, 2)
+
     def test_invalid_inputs_rejected_like_main2(self):
         for args in [(6, 3, 6, 3), (6, 3, 3, 4), (4, 5, 2, 2)]:
             with pytest.raises(ValueError):
@@ -264,7 +272,8 @@ class TestMainPair:
         assert main.metrics["h_g"] == main.metrics["h_f"] + 1
         assert main2.status == PASS
         assert scan.call_count == 1
-        assert len(scan.call_args.args[2]) == main2.metrics["points_modq"]
+        # One seed row per mod-q level, not every mod-q point.
+        assert len(scan.call_args.args[2]) == len(family_sizes(6, 3, 3))
 
 
 class TestHrubes:
@@ -417,6 +426,69 @@ class TestResidueScanOracle:
                     cases += 1
                     witnesses += want[2] is not None
         assert (cases, witnesses) == (390, 138)
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Every (rref, monos, h) that ``theorems.family_rref`` returns, in
+    call order."""
+    seen = []
+    real = theorems.family_rref
+
+    def record(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(theorems, "family_rref", record)
+    return seen
+
+
+def audit_main2(eliminations, n_max):
+    """(cases, witnesses) over every forced MAIN2 with n <= n_max, p in 2,
+    3, 5 and 7 and q a power of p up to 9, asserting that each report's
+    witness is the one a scan of every mod-q point finds against the RREF
+    the driver eliminated."""
+    cases = witnesses = 0
+    for q, p in [(2, 2), (4, 2), (8, 2), (3, 3), (9, 3), (5, 5), (7, 7)]:
+        for n in range(1, n_max + 1):
+            for d in range(n + 1):
+                witness = verify_main2(n, d, q, p, force=True).witnesses
+                rref, monos, _ = eliminations.pop()
+                full = _vanishing_witness(rref, monos, family_points(n, d, q), p, 1)
+                assert witness == full, (n, d, q, p)
+                cases += 1
+                witnesses += witness is not None
+    return cases, witnesses
+
+
+def audit_hlemma(eliminations, p):
+    """HLEMMA's report, asserting that its witness is the one a scan of
+    every 3p-subset of [4p] finds against the RREF the driver eliminated."""
+    report = verify_hlemma(p)
+    rref, monos, _ = eliminations.pop()
+    assert report.witnesses == _vanishing_witness(rref, monos, family_points(4 * p, 3 * p), p, 1)
+    return report
+
+
+class TestSeedScanAudit:
+    """The drivers scan each checked level at its first point only; a scan
+    of every point of the family must give the same witness, FAILs
+    included."""
+
+    def test_forced_main2_up_to_n10(self, eliminations):
+        assert audit_main2(eliminations, 10) == (455, 158)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_hlemma(self, eliminations, p):
+        assert audit_hlemma(eliminations, p).status == PASS
+
+    @pytest.mark.extended
+    def test_forced_main2_up_to_n12(self, eliminations):
+        assert audit_main2(eliminations, 12) == (630, 252)
+
+    @pytest.mark.extended
+    def test_hlemma_p5(self, eliminations):
+        assert audit_hlemma(eliminations, 5).status == PASS
 
 
 class TestCrossImplications:
