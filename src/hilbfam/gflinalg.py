@@ -18,17 +18,24 @@ when its turn comes; from then on it lives on the free columns alone, so
 beside R and the block as it came, only one chunk is ever in the working
 dtype.  A chunk is eliminated in panels of ``_PANEL`` rows.  Each panel
 is reduced against the rows earlier panels of the same block added,
-brought to RREF by recursive halving down to ``_LEAF``-row leaves (each
-merge is two products: the top half's pivots are cleared from the bottom
-half, then the bottom half's from the top), and clears its new pivots
-from the rows its own block added, which are compacted onto the columns
-still free after every panel.  Once the block is done, one pass clears
-all of the block's new pivots from the earlier blocks' rows and compacts
-them, one product per ``_CHUNK`` rows, so the basis is in RREF again
-whenever :meth:`RowReducer.add_rows` returns.  Each update ``sub -=
-product; sub %= p`` reduces mod p once: the product comes back exact and
-unreduced.  :meth:`RowReducer.rref` hands R over as it is stored, rows in
-the order they joined the basis, as an :class:`Rref`.
+brought to RREF, and clears its new pivots from the rows its own block
+added, which are compacted onto the columns still free after every
+panel.  At odd p a panel is brought to RREF by recursive halving down to
+``_LEAF``-row leaves (each merge is two products: the top half's pivots
+are cleared from the bottom half, then the bottom half's from the top).
+At p = 2 the whole panel is packed once into bit rows, one Python int
+per row, eliminated by XOR as in M4RI (Albrecht, Bard and Hart, ACM TOMS
+2010) and unpacked once.  That is not a second engine: the bit rows
+live only inside one panel, after the products against R and against
+the block's earlier rows have done the bulk of the work, and the store,
+chunks, panels and products are those of every p.  Once the block is
+done, one pass clears all of the block's new pivots from the earlier
+blocks' rows and compacts them, one product per ``_CHUNK`` rows, so the
+basis is in RREF again whenever :meth:`RowReducer.add_rows` returns.
+Each update ``sub -= product; sub %= p`` reduces mod p once: the
+product comes back exact and unreduced.  :meth:`RowReducer.rref` hands
+R over as it is stored, rows in the order they joined the basis, as an
+:class:`Rref`.
 
 The working dtype is fixed at construction from ``max(cols, 1) *
 (p-1)^2``, the largest sum a product can reach.  Under 2^21 the basis,
@@ -63,8 +70,11 @@ _FLOAT32_EXACT_LIMIT = 2**21
 _FLOAT64_EXACT_LIMIT = 2**53
 _INT64_EXACT_LIMIT = 2**62
 
-# Rows per elimination panel, rows per leaf of a panel's recursion, and
-# basis rows per back-elimination product.  Chosen by timing on one core
+# Rows per elimination panel, rows per leaf of a panel's recursion at odd
+# p (at p = 2 the whole panel is one XOR elimination on bit rows, which
+# over gf2-wide, verify-batch, the mod-4 series and the q = 8 rung ran
+# 2-5% faster than 16-row bit leaves with their merges), and basis rows
+# per back-elimination product.  Chosen by timing on one core
 # (float32 BLAS at 66-85 GFLOP/s against 38-42 for float64; the float32
 # offset floor at 1.1-3 ns per element against 4.2-4.6 for int64 `%`):
 # 64-row panels were slower on the odd-elim benchmark (0.28-0.30 s a
@@ -100,14 +110,18 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
     that range its three roundings move it by under 0.375/p, so the floor
     is the true quotient and every other step is exact.  It runs over
     blocks of about ``_MOD_ENTRIES`` entries, so the quotient is a small
-    temporary and its five passes stay in cache."""
+    temporary and its five passes stay in cache; an array of at most one
+    block, any shape or stride, is taken whole."""
     if x.dtype != np.float32:
         x %= p
         return x
-    rows = x if x.ndim == 2 else x.reshape(1, -1)
-    step = max(1, _MOD_ENTRIES // max(rows.shape[1], 1))
-    for i in range(0, rows.shape[0], step):
-        part = rows[i : i + step]
+    if x.size <= _MOD_ENTRIES:
+        parts = (x,)
+    else:
+        rows = x if x.ndim == 2 else x.reshape(1, -1)
+        step = max(1, _MOD_ENTRIES // rows.shape[1])
+        parts = (rows[i : i + step] for i in range(0, rows.shape[0], step))
+    for part in parts:
         q = part * np.float32(1 / p)
         q += np.float32(0.5 / p)
         np.floor(q, out=q)
@@ -426,9 +440,13 @@ class RowReducer:
         """Bring `panel` to RREF in place, its dependent rows to zero; return
         the positions of its pivot rows, ascending, and their pivot columns.
         A row is a pivot row when it is independent of the rows above it.
-        Above ``_LEAF`` rows, halve: eliminate the top half, clear its
-        pivots from the bottom half, eliminate that, and clear the bottom
-        half's pivots from the top half."""
+        At p = 2 the whole panel goes to :func:`_eliminate_bits`.
+        Otherwise, above ``_LEAF`` rows, halve: eliminate the top half,
+        clear its pivots from the bottom half, eliminate that, and clear
+        the bottom half's pivots from the top half; a leaf takes one pivot
+        at a time."""
+        if self.p == 2:
+            return _eliminate_bits(panel)
         if panel.shape[0] > _LEAF:
             half = panel.shape[0] // 2
             top, bottom = panel[:half], panel[half:]
@@ -554,6 +572,32 @@ class RowReducer:
             if coeffs.any():
                 _subtract(sub, _matmul_exact(coeffs, clear, self.p), self.p)
             self._view(offset + i * stride, len(chunk), stride, stay.size)[:] = sub
+
+
+def _eliminate_bits(panel: np.ndarray) -> tuple[list[int], list[int]]:
+    """:meth:`RowReducer._eliminate` at p = 2 on bit rows: the panel is
+    packed once, one Python int per row with column 0 as its highest bit,
+    eliminated by XOR (a row's highest set bit is its leftmost nonzero
+    column, and its pivot clears that bit from every other row), and
+    unpacked back once."""
+    width = panel.shape[1]
+    packed = np.packbits(panel != 0, axis=1)
+    nbytes = packed.shape[1]
+    data = packed.tobytes()
+    rows = [int.from_bytes(data[i * nbytes : (i + 1) * nbytes], "big") for i in range(len(packed))]
+    found: list[int] = []
+    pivots: list[int] = []
+    for i in range(len(rows)):
+        row = rows[i]
+        if row:
+            bit = 1 << (row.bit_length() - 1)
+            rows = [r ^ row if r & bit else r for r in rows]
+            rows[i] = row
+            found.append(i)
+            pivots.append(8 * nbytes - row.bit_length())
+    data = b"".join(r.to_bytes(nbytes, "big") for r in rows)
+    panel[:] = np.unpackbits(np.frombuffer(data, np.uint8).reshape(packed.shape), axis=1, count=width)
+    return found, pivots
 
 
 def rank_mod_p(matrix: FpMatrix) -> int:

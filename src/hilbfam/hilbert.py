@@ -248,9 +248,11 @@ def kernel_matrix(points: Sequence[Point], m: int, p: int, cap: int) -> tuple[np
 
 def _rows_in(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Mask of the rows of `a` that are rows of `b`, for nonnegative integer
-    arrays of one width, by their :func:`_row_keys`, looked up in b's."""
-    keys = _row_keys(a, np.int64)
-    table = np.sort(_row_keys(b, np.int64))
+    arrays of one width, by their :func:`_row_keys` in the arrays' common
+    dtype (one byte a coordinate for uint8 points), looked up in b's."""
+    dtype = np.result_type(a, b)
+    keys = _row_keys(a, dtype)
+    table = np.sort(_row_keys(b, dtype))
     at = np.searchsorted(table, keys)
     return table[np.minimum(at, len(table) - 1)] == keys
 

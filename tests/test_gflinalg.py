@@ -11,6 +11,8 @@ from hilbfam import gflinalg
 from hilbfam.gflinalg import (
     _CHUNK,
     _FLOAT32_EXACT_LIMIT,
+    _LEAF,
+    _MOD_ENTRIES,
     _PANEL,
     FpMatrix,
     FpVector,
@@ -508,6 +510,71 @@ class TestEliminatePanel:
         check_panel(np.array(m.data), m.p)
 
 
+def bit_panel(rows, width, seed, dtype):
+    """A 0/1 panel in `dtype` with a zero row, a repeated row and a row
+    that is the sum of two earlier ones, where it has rows for them."""
+    rng = np.random.default_rng(seed)
+    panel = rng.integers(0, 2, (rows, width))
+    if rows >= 3:
+        panel[1] = 0
+        panel[2] = panel[0]
+    if rows >= 5:
+        panel[4] = panel[0] ^ panel[3]
+    if rows >= 8:
+        panel[rows - 1] = panel[3] ^ panel[5] ^ panel[6]
+    return panel.astype(dtype)
+
+
+def check_bit_panel(panel):
+    """`_eliminate` at p = 2 against the oracle: the rows independent of
+    the rows above them are found with their pivots, they come back as
+    the oracle's RREF rows, every other row comes back zero, and the
+    panel keeps its dtype."""
+    expected, expected_piv = oracle_rref(panel.astype(np.int64).tolist(), 2)
+    work = panel.copy()
+    found, pivots = RowReducer(2, panel.shape[1])._eliminate(work)
+    assert found == raising_rows_oracle(panel.astype(np.int64), 2)
+    assert tuple(sorted(pivots)) == expected_piv
+    order = np.argsort(pivots)
+    assert work[found][order].tolist() == expected[: len(expected_piv)]
+    assert not np.delete(work, found, axis=0).any()
+    assert work.dtype == panel.dtype
+
+
+class TestEliminateBits:
+    """At p = 2 a panel is eliminated as bit rows, one Python int per row:
+    widths around the byte and word edges, from one row up to a leaf and
+    to a whole panel, in the float32 and int64 working dtypes."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    @pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 63, 64, 65])
+    def test_against_the_oracle(self, width, dtype):
+        for rows in [*range(1, _LEAF + 1), _PANEL]:
+            check_bit_panel(bit_panel(rows, width, seed=rows * 100 + width, dtype=dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_zero_and_repeated_panels(self, dtype):
+        check_bit_panel(np.zeros((_LEAF, 9), dtype=dtype))
+        check_bit_panel(np.tile(bit_panel(1, 65, 3, dtype), (_LEAF, 1)))
+        # The identity reversed: each row's pivot is right of the last.
+        check_bit_panel(np.eye(_LEAF, 17, dtype=dtype)[::-1])
+
+    def test_leftmost_pivot_not_lowest_bit(self):
+        work = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=np.float32)
+        found, pivots = RowReducer(2, 3)._eliminate(work)
+        assert (found, pivots) == ([0, 1], [0, 1])
+        assert work.tolist() == [[1, 0, 1], [0, 1, 1], [0, 0, 0]]
+
+    @given(st.integers(1, _PANEL), st.integers(1, 80).filter(lambda w: w % 8),
+           st.integers(0, 2**32 - 1), st.sampled_from([np.float32, np.int64]))
+    def test_random_widths_off_the_byte(self, rows, width, seed, dtype):
+        # Low rank, so most rows are dependent on the ones above.
+        rng = np.random.default_rng(seed)
+        rank = rng.integers(0, min(rows, width) + 1)
+        panel = (rng.integers(0, 2, (rows, rank)) @ rng.integers(0, 2, (rank, width))) % 2
+        check_bit_panel(panel.astype(dtype))
+
+
 def raising_rows_oracle(data, p):
     """Positions of the rows of `data` independent of every row before them,
     that is of the rows that raise the prefix rank: the pivot columns of the
@@ -623,6 +690,34 @@ class TestFloat32Path:
         assert np.array_equal(wide[:, 50:1074], (x % p).reshape(-1, 1024))
         assert not wide[:, :50].any() and not wide[:, 1074:].any()
         assert np.array_equal(_mod(x.copy(), p), x % p)
+
+    @pytest.mark.parametrize("p", [2, 3, 1447])
+    @pytest.mark.parametrize("shape", [
+        (_MOD_ENTRIES - 1,), (_MOD_ENTRIES,), (_MOD_ENTRIES + 1,),
+        (255, 257), (256, 256), (1, _MOD_ENTRIES + 1), (_MOD_ENTRIES + 1, 1),
+        (0,), (0, 5), (5, 0), (0, 0), (3, 300),
+    ])
+    def test_mod_around_one_block(self, shape, p):
+        # One block, taken whole, or just over one, taken in blocks.
+        x = np.random.default_rng(p).integers(-(2**21), 2**21, shape)
+        f = x.astype(np.float32)
+        assert _mod(f, p) is f
+        assert f.shape == shape and np.array_equal(f, x % p)
+
+    @pytest.mark.parametrize("rows", [_MOD_ENTRIES // 64 - 1, _MOD_ENTRIES // 64, _MOD_ENTRIES // 64 + 1])
+    def test_mod_on_strided_views(self, rows):
+        # A view of 64 columns of every other row: one block or just over.
+        x = np.random.default_rng(rows).integers(-(2**21), 2**21, (2 * rows, 70))
+        f = x.astype(np.float32)
+        view = f[::2, 3:67]
+        assert _mod(view, 3) is view
+        want = x.copy()
+        want[::2, 3:67] %= 3
+        assert np.array_equal(f, want)
+        column = f[:, 69]
+        _mod(column, 5)
+        want[:, 69] %= 5
+        assert np.array_equal(f, want)
 
     # (p, cols): cols * (p-1)^2 just under 2^21, where the reducer works
     # in float32, and just over, where it works in int64 (with float64

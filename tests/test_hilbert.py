@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from itertools import permutations, product
 from unittest import mock
 
@@ -714,3 +715,31 @@ class TestHandOver:
         red, _ = hilbert._reduce_points(f, 3, p, 1)
         assert red.rank < h_g
         assert_same_rref(rref, red.rref())
+
+    @pytest.mark.parametrize("dtype_a, dtype_b", [
+        (np.uint8, np.uint8), (np.uint8, np.int64), (np.int64, np.uint8),
+        (np.bool_, np.uint8), (np.uint64, np.int64), (np.int8, np.uint16),
+    ])
+    def test_rows_in_across_dtypes(self, dtype_a, dtype_b):
+        # Keys in the common dtype: uint64 with int64 is float64, which
+        # still keys nonnegative integers under 2^53 exactly and in order.
+        rng = np.random.default_rng(7)
+        top = 2 if np.bool_ in (dtype_a, dtype_b) else 100
+        a = rng.integers(0, top, (300, 5))
+        b = np.vstack([a[::3], rng.integers(0, top, (50, 5))])
+        got = hilbert._rows_in(a.astype(dtype_a), b.astype(dtype_b))
+        rows_b = set(map(tuple, b.tolist()))
+        assert got.tolist() == [tuple(row) in rows_b for row in a.tolist()]
+
+    def test_rows_in_keys_uint8_points_at_their_width(self):
+        # int64 keys of both arrays and a sorted copy would take 24 times
+        # the points' bytes; one byte a coordinate stays within 3.
+        a = family_points(18, 9)
+        b = family_points(18, 9, 2)
+        tracemalloc.start()
+        try:
+            assert hilbert._rows_in(a, b).all()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * (a.nbytes + b.nbytes)
